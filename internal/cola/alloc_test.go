@@ -47,6 +47,53 @@ func TestSearchAllocsSteadyState(t *testing.T) {
 	}
 }
 
+// TestSpilledSearchAllocs extends the zero-allocation contract to the
+// out-of-core search path, inside and outside a shared-read epoch: with
+// a page cache that holds everything (every lookup a hit) and with the
+// smallest one there is (nearly every lookup a miss, read into the page
+// it evicts). The window is a stack buffer and a miss recycles a page,
+// so neither may allocate once the cache's pages exist.
+func TestSpilledSearchAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		cacheBytes int64
+	}{
+		{"all hits", 8 << 20},
+		{"steady-state misses", 1},
+	} {
+		c := openSpilled(t, Options{Growth: 2, PointerDensity: DefaultPointerDensity, SpillCacheBytes: tc.cacheBytes})
+		keys := prefillGCOLA(t, c, 1<<12)
+		for _, k := range keys { // fault in every page the cache will ever hold
+			c.Search(k)
+		}
+		i := 0
+		measure := func() float64 {
+			return testing.AllocsPerRun(1000, func() {
+				c.Search(keys[i%len(keys)])
+				i++
+			})
+		}
+		for _, epoch := range []bool{false, true} {
+			c.ResetSpillCounters()
+			var avg float64
+			if epoch {
+				c.BeginSharedReads()
+				avg = measure()
+				c.EndSharedReads()
+			} else {
+				avg = measure()
+			}
+			if avg != 0 {
+				t.Errorf("%s, epoch=%v: spilled Search allocates %.2f allocs/op, want 0", tc.name, epoch, avg)
+			}
+			reads, _ := c.ActualTransfers()
+			if hits := tc.cacheBytes > 1; hits != (reads == 0) {
+				t.Errorf("%s, epoch=%v: %d chunk reads; the test is on the wrong path", tc.name, epoch, reads)
+			}
+		}
+	}
+}
+
 // TestInsertAllocsSteadyState asserts that inserts between level-growth
 // boundaries are allocation-free: the merge ladder, run gathering,
 // lookahead stripping, and pointer distribution must all run out of the

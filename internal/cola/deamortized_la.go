@@ -660,26 +660,32 @@ func (d *DeamortizedLookahead) Range(lo, hi uint64, fn func(core.Element) bool) 
 	}
 	cb.c = cursors
 	for {
+		// As in GCOLA.Range: the lookahead skip stops at the first cell
+		// past hi, and finished cursors are dropped.
 		best := -1
 		var bestKey uint64
-		for i := range cursors {
-			cur := &cursors[i]
-			for cur.pos < len(cur.data) && cur.data[cur.pos].kind == kindLookahead {
-				cur.pos++
+		live := cursors[:0]
+		for _, cur := range cursors {
+			for ; cur.pos < len(cur.data); cur.pos++ {
+				e := &cur.data[cur.pos]
+				if e.key > hi {
+					cur.pos = len(cur.data)
+					break
+				}
+				if e.kind != kindLookahead {
+					if best < 0 || e.key < bestKey ||
+						(e.key == bestKey && cur.epoch > live[best].epoch) {
+						best = len(live)
+						bestKey = e.key
+					}
+					break
+				}
 			}
-			if cur.pos >= len(cur.data) {
-				continue
-			}
-			k := cur.data[cur.pos].key
-			if k > hi {
-				continue
-			}
-			if best < 0 || k < bestKey ||
-				(k == bestKey && cur.epoch > cursors[best].epoch) {
-				best = i
-				bestKey = k
+			if cur.pos < len(cur.data) {
+				live = append(live, cur)
 			}
 		}
+		cursors = live
 		if best < 0 {
 			return
 		}

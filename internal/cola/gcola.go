@@ -59,8 +59,9 @@ type entry struct {
 // level image: logical cell i (start <= i < cells) is file cell
 // i - start, so the right-justified geometry, the DAM offsets, and
 // every charge stay identical while only the occupied cells hit disk.
-// ext is nil while a spilled level is empty (no file). All reads funnel
-// through GCOLA.cellAt, which hides the distinction.
+// ext is nil while a spilled level is empty (no file). Single-cell reads
+// funnel through GCOLA.cellAt, which hides the distinction; Search has
+// a windowed kernel per home (searchLevel, searchLevelSpilled).
 type level struct {
 	// data is the level's cell array in the DAM model: every index,
 	// range, copy, or append on it must happen inside a //repro:charges
@@ -135,8 +136,9 @@ const DefaultPointerDensity = 0.1
 // Range) follows the core.SharedReader contract: bracketed by
 // Begin/EndSharedReads and with writers excluded, any number of
 // goroutines may search concurrently — the search counter is atomic,
-// Range runs out of pooled per-call cursors, and DAM charges go through
-// the store's frozen shared-read epoch.
+// Range runs out of pooled per-call cursors, DAM charges go through the
+// store's frozen shared-read epoch, and spilled reads go through
+// extmem's lock-striped page cache.
 type GCOLA struct {
 	opt    Options
 	levels []level
@@ -348,8 +350,9 @@ func (c *GCOLA) Stats() core.Stats {
 
 // BeginSharedReads implements core.SharedReader by opening a shared
 // epoch on the owning DAM store (a no-op without accounting) and, in
-// out-of-core mode, on the spill store — freezing its page cache under
-// the same rules. See the GCOLA type comment for the bracket contract.
+// out-of-core mode, on the spill store, which from then on refuses
+// writers (its page cache keeps filling on misses). See the GCOLA type
+// comment for the bracket contract.
 func (c *GCOLA) BeginSharedReads() {
 	c.opt.Space.BeginSharedReads()
 	c.ext.BeginSharedReads()

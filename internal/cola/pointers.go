@@ -1,5 +1,7 @@
 package cola
 
+import "repro/internal/extmem"
+
 // distributePointers rebuilds the lookahead entries of every level below
 // t after a merge into t, proceeding level by level exactly as Section 4
 // describes: "The target level is scanned to copy pointers down one
@@ -38,13 +40,25 @@ func (c *GCOLA) distributePointers(t int) {
 		// sample every stride cells, preferring real cells so pointers
 		// land on searchable keys; a lookahead cell is still a valid
 		// anchor, so no cell type is skipped when the stride lands on it.
+		// A spilled source is streamed like any other sequential pass:
+		// counted chunk reads that stay out of the page cache.
 		c.chargeRead(l+1, src.start, used)
 		out := c.scratch.la[:0]
 		if cap(out) < budget {
 			out = make([]entry, 0, budget)
 		}
+		var rd *extmem.Reader
+		if src.ext != nil {
+			rd = src.ext.NewReader(0)
+		}
 		for i := src.start + stride - 1; i < src.cells; i += stride {
-			e := c.cellAt(l+1, i)
+			var e entry
+			if rd == nil {
+				e = src.data[i]
+			} else {
+				rd.Skip(stride - 1)
+				e = nextSpilledCell(rd)
+			}
 			out = append(out, entry{
 				key:  e.key,
 				ptr:  int32(i),

@@ -64,8 +64,15 @@ func (c *GCOLA) lowerBound(l, lo, hi int, target uint64) int {
 // core.SharedReader contract).
 func (c *GCOLA) Search(key uint64) (uint64, bool) {
 	c.searches.Add(1)
+	// Spilled levels are the tail from the spill depth on; they have a
+	// search kernel of their own (searchSpilledLevels), so the loop below
+	// only ever sees RAM levels.
+	ram := len(c.levels)
+	if c.ext != nil && c.opt.SpillDepth < ram {
+		ram = c.opt.SpillDepth
+	}
 	lo, hi := -1, -1 // window into the upcoming level; -1 means unknown
-	for l := 0; l < len(c.levels); l++ {
+	for l := 0; l < ram; l++ {
 		lv := &c.levels[l]
 		if lv.empty() {
 			lo, hi = -1, -1
@@ -79,6 +86,9 @@ func (c *GCOLA) Search(key uint64) (uint64, bool) {
 			return 0, false
 		}
 		lo, hi = nlo, nhi
+	}
+	if ram < len(c.levels) {
+		return c.searchSpilledLevels(ram, key, lo, hi)
 	}
 	return 0, false
 }
@@ -97,9 +107,12 @@ const (
 	foundTombstone
 )
 
-// searchLevel searches level l for key within window [lo, hi) (absolute
-// cell indices; -1 for unknown) and returns the match state plus the
-// window for level l+1 derived from the bracketing lookahead pointers.
+// searchLevel searches RAM level l for key within window [lo, hi)
+// (absolute cell indices; -1 for unknown) and returns the match state
+// plus the window for level l+1 derived from the bracketing lookahead
+// pointers. searchLevelSpilled is its out-of-core twin: any change to
+// the probe or charge sequence here must be made there too
+// (TestSpillParityWithRAM holds the two together).
 //
 //repro:charges opt.Space (scan reads)
 func (c *GCOLA) searchLevel(l int, key uint64, lo, hi int) (uint64, searchState, int, int) {
@@ -221,29 +234,36 @@ func (c *GCOLA) Range(lo, hi uint64, fn func(core.Element) bool) {
 
 	for {
 		// Pick the smallest key among cursors; ties resolved by the
-		// smallest (newest) level.
+		// smallest (newest) level. A cursor whose next cell is past hi is
+		// finished — levels are sorted, so nothing later can qualify —
+		// and is dropped, as is one that ran off its level's end.
 		best := -1
 		var bestKey uint64
-		for i := range cursors {
-			cur := &cursors[i]
+		live := cursors[:0]
+		for _, cur := range cursors {
 			lv := &c.levels[cur.level]
-			// Skip lookahead cells.
-			for cur.pos < lv.cells && c.cellAt(cur.level, cur.pos).kind == kindLookahead {
-				cur.pos++
-				c.chargeRead(cur.level, cur.pos-1, 1)
+			// Skip lookahead cells, but never beyond hi: below a big merge
+			// whole levels hold nothing else.
+			for ; cur.pos < lv.cells; cur.pos++ {
+				e := c.cellAt(cur.level, cur.pos)
+				if e.key > hi {
+					cur.pos = lv.cells
+					break
+				}
+				if e.kind != kindLookahead {
+					if best < 0 || e.key < bestKey || (e.key == bestKey && cur.level < live[best].level) {
+						best = len(live)
+						bestKey = e.key
+					}
+					break
+				}
+				c.chargeRead(cur.level, cur.pos, 1)
 			}
-			if cur.pos >= lv.cells {
-				continue
-			}
-			k := c.cellAt(cur.level, cur.pos).key
-			if k > hi {
-				continue
-			}
-			if best < 0 || k < bestKey || (k == bestKey && cur.level < cursors[best].level) {
-				best = i
-				bestKey = k
+			if cur.pos < lv.cells {
+				live = append(live, cur)
 			}
 		}
+		cursors = live
 		if best < 0 {
 			return
 		}

@@ -3,6 +3,7 @@ package cola
 import (
 	"bytes"
 	"os"
+	"sort"
 	"sync"
 	"testing"
 
@@ -79,6 +80,12 @@ func TestSpillParityWithRAM(t *testing.T) {
 		if rv != sv || rok != sok {
 			t.Fatalf("Search(%d): ram (%d,%v), spilled (%d,%v)", k, rv, rok, sv, sok)
 		}
+		// Search by search, not just in total: the windowed kernel must
+		// charge exactly what the RAM kernel charges.
+		if ramStore.Transfers() != spillStore.Transfers() {
+			t.Fatalf("Search(%d): predicted transfers diverge: ram %d, spilled %d",
+				k, ramStore.Transfers(), spillStore.Transfers())
+		}
 	}
 	// Full range scans must agree element for element.
 	var got, want []core.Element
@@ -123,6 +130,184 @@ func TestSpillParityWithRAM(t *testing.T) {
 	if ramStore.Transfers() != spillStore.Transfers() {
 		t.Fatalf("predicted transfers diverge after Compact: ram %d, spilled %d",
 			ramStore.Transfers(), spillStore.Transfers())
+	}
+}
+
+// craftedTwins lays the same two levels by hand into an in-RAM and a
+// spilled GCOLA, each charging a DAM store of its own with a starved
+// cache, so the spilled search kernel can be driven into its corners.
+// Level 10 holds 1,000 reals, key 100(i+1) at logical cell 126+i — file
+// cell i, so chunk boundaries fall at i = 128, 256, ... Level 9 holds a
+// lookahead cell for every 20th of them, reals at keys 100m+50, and two
+// things no merge would build: 100 lookahead cells of key 50,000 ahead
+// of a real with that key, and 80 lookahead cells of key 70,000 with no
+// real behind them — both runs longer than the search window — and,
+// for m in (800, 900), a real at every 100m+50 and not one lookahead
+// cell, so a right-bound scan from there outruns the window too. Key
+// 90,000 is deleted: level 9 holds its tombstone. Level 8 holds a
+// lookahead cell for every 4th cell of level 9 and reals at keys
+// 100m+25, exactly 256 cells: two whole chunks, so a search that falls
+// off its end has no cell left to fetch.
+func craftedTwins(t *testing.T) (ram, sp *GCOLA, ramStore, spStore *dam.Store) {
+	t.Helper()
+	ramStore = dam.NewStore(4096, 4*4096)
+	spStore = dam.NewStore(4096, 4*4096)
+	ram = New(Options{Growth: 2, PointerDensity: DefaultPointerDensity, Space: ramStore.Space("cola")})
+	sp = openSpilled(t, Options{Growth: 2, PointerDensity: DefaultPointerDensity, Space: spStore.Space("cola")})
+
+	var lower, upper []entry
+	for m := 1; m <= 1000; m++ {
+		key, at := uint64(100*m), int32(126+m-1)
+		upper = append(upper, entry{key: key, val: key + 1, kind: kindReal})
+		runs := 0
+		switch m {
+		case 500:
+			runs = 100
+		case 700:
+			runs = 80
+		}
+		desert := m > 800 && m < 900
+		if m%20 == 0 && !desert {
+			runs++
+		}
+		for ; runs > 0; runs-- {
+			lower = append(lower, entry{key: key, ptr: at, kind: kindLookahead})
+		}
+		switch {
+		case m == 500:
+			lower = append(lower, entry{key: key, val: 77, kind: kindReal})
+		case m == 900:
+			lower = append(lower, entry{key: key, kind: kindTombstone})
+		}
+		if m%4 == 1 || desert {
+			lower = append(lower, entry{key: key + 50, val: key + 51, kind: kindReal})
+		}
+	}
+	for _, c := range []*GCOLA{ram, sp} {
+		c.ensureLevel(10)
+		if c.levels[10].cells-len(upper) != 126 {
+			t.Fatalf("level 10 would start at %d, the fixture assumes 126", c.levels[10].cells-len(upper))
+		}
+	}
+	start9 := ram.levels[9].cells - len(lower)
+	var top []entry
+	for at := 3; at < len(lower); at += 4 {
+		top = append(top, entry{key: lower[at].key, ptr: int32(start9 + at), kind: kindLookahead})
+	}
+	for m := uint64(1); len(top) < 2*spillChunkCells; m++ {
+		top = append(top, entry{key: 100*m + 25, val: 100*m + 26, kind: kindReal})
+	}
+	sort.SliceStable(top, func(a, b int) bool { return top[a].key < top[b].key })
+	ram.installLevel(10, upper)
+	ram.installLevel(9, lower)
+	ram.installLevel(8, top)
+	sp.installLevelSpilled(10, upper)
+	sp.installLevelSpilled(9, lower)
+	sp.installLevelSpilled(8, top)
+	return ram, sp, ramStore, spStore
+}
+
+// TestSpilledSearchKernelMatchesRAM drives searchLevelSpilled and
+// searchLevel over the crafted twins with windows chosen to hit every
+// branch of the windowed kernel — a window across a chunk boundary, on
+// the level's first and last cell, unknown, clamped, and equal-key runs
+// that outrun the buffer into the per-cell fallback — and requires the
+// same answer, the same next window and the same DAM charges each time.
+// Where the geometry fixes it, the page lookups are pinned too: one per
+// level, two only when the cells needed straddle a chunk boundary.
+func TestSpilledSearchKernelMatchesRAM(t *testing.T) {
+	ram, sp, ramStore, spStore := craftedTwins(t)
+	start9, cells9 := ram.levels[9].start, ram.levels[9].cells
+	// First cells of the two runs; asked of both twins so that their
+	// charge streams stay level.
+	run5, run7 := ram.lowerBound(9, start9, cells9, 50000), ram.lowerBound(9, start9, cells9, 70000)
+	if sp.lowerBound(9, start9, cells9, 50000) != run5 || sp.lowerBound(9, start9, cells9, 70000) != run7 {
+		t.Fatal("lowerBound disagrees between the twins")
+	}
+
+	for _, tc := range []struct {
+		name    string
+		l       int
+		key     uint64
+		lo, hi  int
+		lookups int // page lookups expected of the spilled kernel; -1 when the probe path decides
+	}{
+		{"inside one chunk, hit", 10, 5000, 126 + 40, 126 + 62, 1},
+		{"inside one chunk, miss", 10, 5050, 126 + 40, 126 + 62, 1},
+		{"across a chunk boundary, hit before it", 10, 12800, 126 + 118, 126 + 140, 2},
+		{"across a chunk boundary, hit on it", 10, 12900, 126 + 118, 126 + 140, 2},
+		{"across a chunk boundary, miss", 10, 12950, 126 + 118, 126 + 140, 2},
+		{"window ends at a chunk boundary", 10, 12750, 126 + 110, 126 + 127, 1},
+		{"first cell, hit", 10, 100, 126, 126 + 20, 1},
+		{"below the first cell", 10, 7, 126, 126 + 20, 1},
+		{"last cell, hit", 10, 100000, 1126 - 20, 1126, 1},
+		{"past the last cell", 10, 100001, 1126 - 20, 1126, 1},
+		{"empty window at the level's end", 10, 100001, 1126, 1126, 1},
+		{"window below the occupied range", 10, 300, 3, 126 + 9, 1},
+		{"inverted window", 10, 5000, 126 + 60, 126 + 40, 1},
+		{"unknown window, hit", 10, 33300, -1, -1, -1},
+		{"unknown window, miss", 10, 33333, -1, -1, -1},
+		{"unknown window, below everything", 10, 1, -1, -1, -1},
+		{"unknown window, above everything", 10, 1 << 40, -1, -1, -1},
+		{"level 9 first cell", 9, 150, start9, start9 + 10, 1},
+		{"level 9 below the first cell", 9, 1, start9, start9 + 10, 1},
+		{"level 9 last cell", 9, ram.cellAt(9, cells9-1).key, cells9 - 10, cells9, 1},
+		{"level 9 past the last cell", 9, 1 << 40, cells9 - 10, cells9, 1},
+		{"window starts on a chunk boundary, lands past it", 9, ram.cellAt(9, start9+133).key, start9 + 128, start9 + 140, 1},
+		{"window starts on a chunk boundary, lands on it", 9, ram.cellAt(9, start9+128).key - 1, start9 + 128, start9 + 140, 2},
+		{"level 9 unknown, real hit", 9, 12150, -1, -1, -1},
+		{"level 9 unknown, miss between lookaheads", 9, 12160, -1, -1, -1},
+		{"level 9 lookahead key without a real", 9, 4000, -1, -1, -1},
+		{"long lookahead run ending in a real", 9, 50000, run5 - 3, run5 + 5, -1},
+		{"long lookahead run, unknown window", 9, 50000, -1, -1, -1},
+		{"long lookahead run with no real", 9, 70000, run7 - 3, run7 + 5, -1},
+		{"long lookahead run with no real, unknown window", 9, 70000, -1, -1, -1},
+		{"just below the long run", 9, 49999, run5 - 3, run5 + 5, -1},
+		{"no lookahead cell for 99 cells", 9, 80160, -1, -1, -1},
+		{"off the end of a level of whole chunks", 8, 1 << 40, -1, -1, -1},
+		{"empty window off the end of a level of whole chunks", 8, 1 << 40, 1 << 20, 1 << 20, 1},
+		{"tombstone behind a lookahead cell", 9, 90000, -1, -1, -1},
+	} {
+		var w spillWindow
+		before := sp.ext.CacheHits() + sp.ext.ChunkReads()
+		rv, rs, rlo, rhi := ram.searchLevel(tc.l, tc.key, tc.lo, tc.hi)
+		sv, ss, slo, shi := sp.searchLevelSpilled(&w, tc.l, tc.key, tc.lo, tc.hi)
+		if rv != sv || rs != ss || rlo != slo || rhi != shi {
+			t.Errorf("%s: ram (%d, %d, [%d, %d)), spilled (%d, %d, [%d, %d))", tc.name, rv, rs, rlo, rhi, sv, ss, slo, shi)
+		}
+		ra, _ := ramStore.Accesses()
+		sa, _ := spStore.Accesses()
+		if ramStore.Transfers() != spStore.Transfers() || ra != sa {
+			t.Fatalf("%s: charges diverge: ram %d transfers / %d reads, spilled %d / %d",
+				tc.name, ramStore.Transfers(), ra, spStore.Transfers(), sa)
+		}
+		if got := int(sp.ext.CacheHits() + sp.ext.ChunkReads() - before); tc.lookups >= 0 && got != tc.lookups {
+			t.Errorf("%s: %d page lookups, want %d", tc.name, got, tc.lookups)
+		}
+	}
+
+	// Whole searches: levels 0-7 are empty, so level 8 is entered with an
+	// unknown window and levels 9 and 10 through the pointers above them.
+	for k := uint64(0); k <= 100100; k += 25 {
+		rv, rok := ram.Search(k)
+		sv, sok := sp.Search(k)
+		if rv != sv || rok != sok {
+			t.Fatalf("Search(%d): ram (%d,%v), spilled (%d,%v)", k, rv, rok, sv, sok)
+		}
+		inUpper := k%100 == 0 && k >= 100 && k <= 100000 && k != 90000
+		inLower := k%100 == 50 && k < 100000 && (k%400 == 150 || k > 80100 && k < 90000)
+		inTop := k%100 == 25 && k >= 125 && k <= 100*uint64(ram.levels[8].real)+25
+		if wantOK := inUpper || inLower || inTop; rok != wantOK {
+			t.Fatalf("Search(%d) found=%v, want %v", k, rok, wantOK)
+		}
+		if ramStore.Transfers() != spStore.Transfers() {
+			t.Fatalf("Search(%d): predicted transfers diverge: ram %d, spilled %d", k, ramStore.Transfers(), spStore.Transfers())
+		}
+		// The real behind the run of 100 lookahead cells is only reachable
+		// through the per-cell fallback.
+		if k == 50000 && sv != 77 {
+			t.Fatalf("Search(50000) = %d, want the level-9 real behind the lookahead run", sv)
+		}
 	}
 }
 
@@ -250,8 +435,8 @@ func TestSpillSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestSpillSharedReadStress runs bracketed concurrent searches and range
-// scans over a spilled structure under the race detector: the frozen
-// page cache and the atomic I/O counters must hold up.
+// scans over a spilled structure under the race detector: the striped
+// page cache, filling from every goroutine at once, must hold up.
 func TestSpillSharedReadStress(t *testing.T) {
 	c := openSpilled(t, Options{Growth: 2, PointerDensity: DefaultPointerDensity})
 	const n = 4000

@@ -15,19 +15,24 @@
 //
 // Access pattern contract (the one the paper's analysis exploits):
 //   - Random reads (Search/Range probes) go through the page cache:
-//     a miss reads one aligned chunk and caches it, a hit costs
-//     nothing; the LRU is frozen during shared-read epochs exactly
-//     like dam.Store's (hits leave recency untouched, misses read
-//     around the cache and are counted atomically, writes panic).
-//   - Sequential passes (the merge ladder, snapshot serialization) use
-//     Reader/LevelWriter, which stream whole chunks through private
-//     buffers — counted, but deliberately NOT cached, so a single big
-//     merge cannot evict the read path's working set (scan resistance;
-//     levels are written once and never updated in place, so there is
-//     no dirty/writeback state at all).
+//     ReadCell/ReadCells look each aligned chunk up once, a miss reads
+//     the chunk into the page it evicts and caches it, a hit costs no
+//     I/O. The cache is one lock-striped structure used identically
+//     inside and outside shared-read epochs: whoever misses, fills.
+//   - Sequential passes (the merge ladder, pointer distribution,
+//     snapshot serialization) use Reader/LevelWriter, which stream
+//     whole chunks through private buffers — counted, but deliberately
+//     NOT cached, so a single big merge cannot evict the read path's
+//     working set (scan resistance; levels are written once and never
+//     updated in place, so there is no dirty/writeback state at all).
 //
-// Like dam.Store, a Store is single-threaded for everything except
-// concurrent reads inside a Begin/EndSharedReads bracket.
+// Concurrency: like dam.Store, a Store is single-threaded for
+// everything that changes which levels exist (NewLevelWriter, Commit,
+// RemoveLevel, DropCache, Close). A Begin/EndSharedReads bracket
+// excludes those writers — they panic inside one — and nothing else:
+// any number of goroutines may then call ReadCell, ReadCells and
+// Reader.Next concurrently, and their misses populate the cache exactly
+// as an exclusive reader's would.
 package extmem
 
 import (
@@ -103,44 +108,63 @@ type Config struct {
 	CacheBytes int64
 }
 
-type pageKey struct {
-	level int
+// setWays is the target number of pages per cache set. A set is both
+// the associativity unit (a chunk may live only in the set its key
+// hashes to, found by scanning the set's tags) and the lock stripe, so
+// the stripe count follows from the chunk budget. Budgets below two
+// sets' worth get a single fully-associative set, i.e. exact LRU.
+const setWays = 16
+
+// page is one cache slot. gen 0 marks it free (level generations start
+// at 1); busy marks it claimed by a reader that is filling buf outside
+// the set lock — neither findable nor evictable until published.
+type page struct {
 	gen   uint64
 	chunk int
+	stamp uint64 // set-local recency: larger is more recent, 0 is never used
+	busy  bool
+	buf   []byte // chunkBytes, allocated on first fill and then recycled
 }
 
-type page struct {
-	key        pageKey
-	buf        []byte
-	prev, next *page
+// cacheSet is one lock stripe of the page cache: a fixed group of pages
+// with LRU replacement by stamp. Everything in it is guarded by mu,
+// except the bytes of a busy page's buffer, which belong to the reader
+// filling it.
+type cacheSet struct {
+	mu    sync.Mutex
+	freed sync.Cond // signalled when a busy page is published or released
+	tick  uint64
+	hits  uint64 // lookups served from a resident page
+	reads uint64 // lookups that pread their chunk
+	pages []page
+	_     [16]byte // keep neighbouring sets' locks off one cache line
 }
 
 // Store is one spill store: a directory of level files plus the shared
 // page cache and I/O counters.
 type Store struct {
-	dir        string
-	chunkBytes int
-	capacity   int // page-cache budget in chunks
+	dir           string
+	chunkBytes    int
+	cellsPerChunk int
+	capacity      int // page-cache budget in chunks
 
-	table      map[pageKey]*page
-	head, tail *page // LRU order; head is most recently used
+	// sets partitions the capacity pages; its length is a power of two
+	// and setShift maps a 64-bit key hash onto it. Fixed after Open.
+	sets     []cacheSet
+	setShift uint
 
 	levels  map[int]*Level
 	nextGen uint64
 
-	// Exclusive-mode counters; plain because mutation is single-
-	// threaded (the dam.Store convention).
-	reads, writes, hits uint64
+	// writes is plain because mutation is single-threaded (the dam.Store
+	// convention); seqReads counts Reader traffic, which may run inside
+	// an epoch.
+	writes   uint64
+	seqReads atomic.Uint64
 
-	// Shared-read epoch state, mirroring dam.Store: depth-counted
-	// brackets, atomic read/hit counters for the frozen cache.
+	// sharedDepth counts open shared-read brackets; while it is positive
+	// every mutating entry point panics.
 	sharedDepth atomic.Int64
-	sharedReads atomic.Uint64
-	sharedHits  atomic.Uint64
-
-	// chunkPool recycles the transient buffers shared-epoch misses read
-	// into, so the bracketed search path does not allocate per miss.
-	chunkPool sync.Pool
 }
 
 // Level is the file-backed occupied window of one COLA level: Cells()
@@ -148,8 +172,7 @@ type Store struct {
 // LevelWriter and immutable thereafter.
 type Level struct {
 	s      *Store
-	id     int
-	gen    uint64
+	gen    uint64 // never reused: the page cache keys on it
 	f      *os.File
 	path   string
 	cells  int
@@ -175,15 +198,26 @@ func Open(cfg Config) (*Store, error) {
 		return nil, fmt.Errorf("extmem: create spill directory: %w", err)
 	}
 	s := &Store{
-		dir:        dir,
-		chunkBytes: chunk,
-		capacity:   capacity,
-		table:      make(map[pageKey]*page),
-		levels:     make(map[int]*Level),
+		dir:           dir,
+		chunkBytes:    chunk,
+		cellsPerChunk: chunk / CellBytes,
+		capacity:      capacity,
+		levels:        make(map[int]*Level),
 	}
-	s.chunkPool.New = func() any {
-		b := make([]byte, chunk)
-		return &b
+	// The largest power-of-two set count that leaves every set at least
+	// setWays pages; the capacity pages are dealt out as evenly as they
+	// divide, so the resident total can never exceed the budget.
+	bits := uint(0)
+	for capacity>>(bits+1) >= setWays {
+		bits++
+	}
+	s.setShift = 64 - bits
+	s.sets = make([]cacheSet, 1<<bits)
+	pages := make([]page, capacity)
+	for i := range s.sets {
+		n := (capacity + i) >> bits
+		s.sets[i].pages, pages = pages[:n:n], pages[n:]
+		s.sets[i].freed.L = &s.sets[i].mu
 	}
 	return s, nil
 }
@@ -207,52 +241,77 @@ func (s *Store) Close() error {
 		}
 	}
 	s.levels = map[int]*Level{}
-	s.dropCacheLocked()
+	s.sets = nil
 	if err := os.RemoveAll(s.dir); err != nil && first == nil {
 		first = err
 	}
 	return first
 }
 
+// cacheCounts sums the per-set lookup counters.
+func (s *Store) cacheCounts() (hits, reads uint64) {
+	for i := range s.sets {
+		st := &s.sets[i]
+		st.mu.Lock()
+		hits += st.hits
+		reads += st.reads
+		st.mu.Unlock()
+	}
+	return hits, reads
+}
+
 // ChunkReads reports aligned chunk reads performed so far (cache misses
 // plus sequential reader traffic; shared-epoch misses included).
-func (s *Store) ChunkReads() uint64 { return s.reads + s.sharedReads.Load() }
+func (s *Store) ChunkReads() uint64 {
+	_, reads := s.cacheCounts()
+	return reads + s.seqReads.Load()
+}
 
 // ChunkWrites reports aligned chunk writes performed so far (all from
 // LevelWriter streams; levels are never updated in place).
 func (s *Store) ChunkWrites() uint64 { return s.writes }
 
 // CacheHits reports page-cache hits (shared-epoch hits included).
-func (s *Store) CacheHits() uint64 { return s.hits + s.sharedHits.Load() }
+func (s *Store) CacheHits() uint64 {
+	hits, _ := s.cacheCounts()
+	return hits
+}
 
 // ResetCounters zeroes the I/O counters; resident pages and files are
 // untouched (the dam.Store convention).
 func (s *Store) ResetCounters() {
-	s.reads, s.writes, s.hits = 0, 0, 0
-	s.sharedReads.Store(0)
-	s.sharedHits.Store(0)
+	for i := range s.sets {
+		st := &s.sets[i]
+		st.mu.Lock()
+		st.hits, st.reads = 0, 0
+		st.mu.Unlock()
+	}
+	s.writes = 0
+	s.seqReads.Store(0)
 }
 
 // DropCache empties the page cache without touching counters or files,
-// so a measurement can start cold.
+// so a measurement can start cold. Page buffers are kept for reuse.
 func (s *Store) DropCache() {
 	if s.sharedDepth.Load() != 0 {
 		panic("extmem: DropCache during a shared-read epoch")
 	}
-	s.dropCacheLocked()
+	for i := range s.sets {
+		st := &s.sets[i]
+		st.mu.Lock()
+		for j := range st.pages {
+			st.pages[j].gen, st.pages[j].stamp = 0, 0
+		}
+		st.mu.Unlock()
+	}
 }
 
-func (s *Store) dropCacheLocked() {
-	s.table = make(map[pageKey]*page)
-	s.head, s.tail = nil, nil
-}
-
-// BeginSharedReads freezes the page cache for a concurrent-read epoch,
-// mirroring dam.Store.BeginSharedReads: until the matching End, any
-// number of goroutines may call ReadCell / Reader.Next concurrently.
-// Resident chunks are served without recency updates; misses read
-// around the cache (the file handle is safe for concurrent pread) and
-// are counted atomically; writes panic. Brackets nest.
+// BeginSharedReads opens a concurrent-read epoch: until the matching
+// End, any number of goroutines may call ReadCell / ReadCells /
+// Reader.Next concurrently, through the same page cache and with the
+// same fill-on-miss behaviour as outside an epoch. What the bracket
+// excludes is writers: NewLevelWriter, RemoveLevel and DropCache panic
+// while one is open. Brackets nest.
 func (s *Store) BeginSharedReads() {
 	if s == nil {
 		return
@@ -293,61 +352,126 @@ func (s *Store) FileStats() (files int, bytes int64, err error) {
 func (l *Level) Cells() int { return l.cells }
 
 // ReadCell copies cell i into dst (len CellBytes) through the page
-// cache: the actual-I/O analogue of one DAM-charged probe. Outside an
-// epoch a miss loads and caches the cell's aligned chunk, evicting the
-// LRU chunk at capacity; inside an epoch the frozen-cache rules above
-// apply. Out-of-range indices panic (a structural bug, like slice
-// bounds); I/O failures return the typed *ReadError.
+// cache: the actual-I/O analogue of one DAM-charged probe. Out-of-range
+// indices panic (a structural bug, like slice bounds); I/O failures
+// return the typed *ReadError.
 func (l *Level) ReadCell(i int, dst []byte) error {
-	if i < 0 || i >= l.cells {
-		panic(fmt.Sprintf("extmem: cell %d out of range [0, %d)", i, l.cells))
-	}
 	if len(dst) != CellBytes {
 		panic("extmem: ReadCell destination must be exactly one cell")
 	}
-	s := l.s
-	cellsPerChunk := s.chunkBytes / CellBytes
-	chunk := i / cellsPerChunk
-	off := (i % cellsPerChunk) * CellBytes
-	key := pageKey{level: l.id, gen: l.gen, chunk: chunk}
+	return l.ReadCells(i, 1, dst)
+}
 
-	if s.sharedDepth.Load() > 0 {
-		if p, ok := s.table[key]; ok {
-			copy(dst, p.buf[off:off+CellBytes])
-			s.sharedHits.Add(1)
-			return nil
+// ReadCells copies cells [i, i+n) into dst (len n*CellBytes) through
+// the page cache with one lookup per aligned chunk the range touches —
+// so a search window of a few dozen cells costs one lookup, two when it
+// straddles a chunk boundary. Panics and errors as ReadCell.
+func (l *Level) ReadCells(i, n int, dst []byte) error {
+	if i < 0 || n < 0 || i+n > l.cells {
+		panic(fmt.Sprintf("extmem: cells [%d, %d) out of range [0, %d)", i, i+n, l.cells))
+	}
+	if len(dst) != n*CellBytes {
+		panic("extmem: ReadCells destination must be exactly n cells")
+	}
+	per := l.s.cellsPerChunk
+	for n > 0 {
+		chunk, at := i/per, i%per
+		take := per - at
+		if take > n {
+			take = n
 		}
-		bufp := s.chunkPool.Get().(*[]byte)
-		err := l.readChunk(chunk, *bufp)
-		if err == nil {
-			copy(dst, (*bufp)[off:off+CellBytes])
-		}
-		s.chunkPool.Put(bufp)
-		if err != nil {
-			// The error wraps path/offset metadata, never the pooled buffer,
-			// which scratchescape can see for itself — no waiver needed.
+		if err := l.s.copyFromChunk(l, chunk, at*CellBytes, dst[:take*CellBytes]); err != nil {
 			return err
 		}
-		s.sharedReads.Add(1)
-		return nil
+		dst = dst[take*CellBytes:]
+		i += take
+		n -= take
+	}
+	return nil
+}
+
+// copyFromChunk is the one page-cache code path: copy len(dst) bytes at
+// byte offset off of the level's given chunk, from the resident page on
+// a hit, else from the least recently used page of the chunk's set
+// after reading the chunk into it. The pread runs outside the set lock,
+// into the evicted page's own buffer (claimed as busy meanwhile), so a
+// miss stalls nobody else and steady state allocates nothing. Two
+// readers missing the same chunk at once both read it — both preads are
+// counted — and the second to finish leaves its page free instead of
+// caching a duplicate.
+func (s *Store) copyFromChunk(l *Level, chunk, off int, dst []byte) error {
+	h := (l.gen*0x9E3779B97F4A7C15 ^ uint64(chunk)) * 0xBF58476D1CE4E5B9
+	st := &s.sets[h>>s.setShift] // a shift by 64 (one set) yields 0
+
+	st.mu.Lock()
+	var fill *page
+	for {
+		if p := st.find(l.gen, chunk); p != nil {
+			st.touch(p)
+			st.hits++
+			copy(dst, p.buf[off:])
+			st.mu.Unlock()
+			return nil
+		}
+		if fill = st.lru(); fill != nil {
+			break
+		}
+		// Every page of the set is mid-fill by some other reader.
+		st.freed.Wait()
+	}
+	fill.gen, fill.busy = 0, true
+	if fill.buf == nil {
+		fill.buf = make([]byte, s.chunkBytes)
+	}
+	st.mu.Unlock()
+
+	err := l.readChunk(chunk, fill.buf)
+	if err == nil {
+		copy(dst, fill.buf[off:])
 	}
 
-	if p, ok := s.table[key]; ok {
-		s.moveToFront(p)
-		s.hits++
-		copy(dst, p.buf[off:off+CellBytes])
-		return nil
+	st.mu.Lock()
+	fill.busy, fill.stamp = false, 0
+	if err == nil {
+		st.reads++
+		if st.find(l.gen, chunk) == nil {
+			fill.gen, fill.chunk = l.gen, chunk
+			st.touch(fill)
+		}
 	}
-	p := s.takePage(key)
-	if err := l.readChunk(chunk, p.buf); err != nil {
-		// The page was never filled; do not cache it.
-		return err
+	st.freed.Broadcast()
+	st.mu.Unlock()
+	return err
+}
+
+// find returns the resident page holding the chunk, or nil.
+func (st *cacheSet) find(gen uint64, chunk int) *page {
+	for i := range st.pages {
+		if p := &st.pages[i]; p.gen == gen && p.chunk == chunk {
+			return p
+		}
 	}
-	s.table[key] = p
-	s.pushFront(p)
-	s.reads++
-	copy(dst, p.buf[off:off+CellBytes])
 	return nil
+}
+
+// touch makes p the set's most recently used page.
+func (st *cacheSet) touch(p *page) {
+	st.tick++
+	p.stamp = st.tick
+}
+
+// lru returns the page to fill next: a free one if any (stamp 0), else
+// the least recently used; nil when every page is busy. Pages are never
+// dirty — levels are written once by LevelWriter streams — so eviction
+// never writes back.
+func (st *cacheSet) lru() *page {
+	var best *page
+	for i := range st.pages {
+		if p := &st.pages[i]; !p.busy && (best == nil || p.stamp < best.stamp) {
+			best = p
+		}
+	}
+	return best
 }
 
 // readChunk preads one whole aligned chunk into buf; anything less is a
@@ -364,68 +488,11 @@ func (l *Level) readChunk(chunk int, buf []byte) error {
 	return &ReadError{Path: l.path, Chunk: chunk, Got: got, Want: want}
 }
 
-// takePage returns a page to fill: the evicted LRU tail when the cache
-// is at capacity (pages are never dirty — levels are written once by
-// LevelWriter streams — so eviction never writes back), a fresh page
-// otherwise.
-func (s *Store) takePage(key pageKey) *page {
-	if len(s.table) >= s.capacity && s.tail != nil {
-		p := s.tail
-		s.unlink(p)
-		delete(s.table, p.key)
-		p.key = key
-		return p
-	}
-	return &page{key: key, buf: make([]byte, s.chunkBytes)}
-}
-
-func (s *Store) pushFront(p *page) {
-	p.prev = nil
-	p.next = s.head
-	if s.head != nil {
-		s.head.prev = p
-	}
-	s.head = p
-	if s.tail == nil {
-		s.tail = p
-	}
-}
-
-func (s *Store) unlink(p *page) {
-	if p.prev != nil {
-		p.prev.next = p.next
-	} else {
-		s.head = p.next
-	}
-	if p.next != nil {
-		p.next.prev = p.prev
-	} else {
-		s.tail = p.prev
-	}
-	p.prev, p.next = nil, nil
-}
-
-func (s *Store) moveToFront(p *page) {
-	if s.head == p {
-		return
-	}
-	s.unlink(p)
-	s.pushFront(p)
-}
-
-// invalidateLevel drops every cached page of one level generation
-// (called when a merge or removal replaces the level's file).
-func (s *Store) invalidateLevel(id int, gen uint64) {
-	for key, p := range s.table {
-		if key.level == id && key.gen == gen {
-			s.unlink(p)
-			delete(s.table, key)
-		}
-	}
-}
-
-// RemoveLevel deletes the named level's file and cached pages; a level
-// id with no file is a no-op. Panics during a shared-read epoch.
+// RemoveLevel deletes the named level's file; a level id with no file
+// is a no-op. Its cached pages need no sweep: they are keyed by the
+// level's generation, which is never issued again, so they are
+// unreachable from now on and age out of their sets like any page no
+// one touches. Panics during a shared-read epoch.
 func (s *Store) RemoveLevel(id int) error {
 	if s.sharedDepth.Load() != 0 {
 		panic("extmem: RemoveLevel during a shared-read epoch")
@@ -435,7 +502,6 @@ func (s *Store) RemoveLevel(id int) error {
 		return nil
 	}
 	delete(s.levels, id)
-	s.invalidateLevel(id, l.gen)
 	err := l.f.Close()
 	if rerr := os.Remove(l.path); err == nil {
 		err = rerr
@@ -465,6 +531,15 @@ func (l *Level) NewReader(start int) *Reader {
 // Remaining reports how many cells are left to read.
 func (r *Reader) Remaining() int { return r.l.cells - r.next }
 
+// Skip advances past the next n cells without copying them; chunks
+// skipped whole are never read.
+func (r *Reader) Skip(n int) {
+	if n < 0 || n > r.Remaining() {
+		panic(fmt.Sprintf("extmem: Reader.Skip(%d) with %d cells remaining", n, r.Remaining()))
+	}
+	r.next += n
+}
+
 // Next copies the next cell into dst (len CellBytes) and advances.
 // Calling past the end panics; the caller tracks Remaining.
 func (r *Reader) Next(dst []byte) error {
@@ -474,18 +549,14 @@ func (r *Reader) Next(dst []byte) error {
 	if len(dst) != CellBytes {
 		panic("extmem: Reader.Next destination must be exactly one cell")
 	}
-	cellsPerChunk := r.l.s.chunkBytes / CellBytes
+	cellsPerChunk := r.l.s.cellsPerChunk
 	chunk := r.next / cellsPerChunk
 	if chunk != r.bufChunk {
 		if err := r.l.readChunk(chunk, r.buf); err != nil {
 			return err
 		}
 		r.bufChunk = chunk
-		if r.l.s.sharedDepth.Load() > 0 {
-			r.l.s.sharedReads.Add(1)
-		} else {
-			r.l.s.reads++
-		}
+		r.l.s.seqReads.Add(1)
 	}
 	off := (r.next % cellsPerChunk) * CellBytes
 	copy(dst, r.buf[off:off+CellBytes])
@@ -565,8 +636,9 @@ func (w *LevelWriter) flushChunk() error {
 
 // Commit pads and flushes the final chunk, renames the image into
 // place, and installs it as the level's current file (closing and
-// deleting the previous image and invalidating its cached pages). The
-// returned Level is immutable.
+// deleting the previous image, whose cached pages become unreachable
+// with its generation — see RemoveLevel). The returned Level is
+// immutable.
 func (w *LevelWriter) Commit() (*Level, error) {
 	if w.done {
 		panic("extmem: Commit after Commit/Abort")
@@ -595,12 +667,11 @@ func (w *LevelWriter) Commit() (*Level, error) {
 		return nil, fmt.Errorf("extmem: reopen level %d image: %w", w.id, err)
 	}
 	if old, ok := w.s.levels[w.id]; ok {
-		w.s.invalidateLevel(w.id, old.gen)
 		//repro:allow durerr old read-only image teardown; its data was fully superseded by the committed rename
 		old.f.Close()
 		os.Remove(old.path)
 	}
-	l := &Level{s: w.s, id: w.id, gen: w.gen, f: f, path: final, cells: w.cells, chunks: w.chunk}
+	l := &Level{s: w.s, gen: w.gen, f: f, path: final, cells: w.cells, chunks: w.chunk}
 	w.s.levels[w.id] = l
 	return l, nil
 }

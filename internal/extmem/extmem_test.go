@@ -5,8 +5,10 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -29,13 +31,19 @@ func openTest(t *testing.T, cacheChunks int) *Store {
 // word.
 func writeLevel(t *testing.T, s *Store, id, n int) *Level {
 	t.Helper()
+	return writeLevelFrom(t, s, id, n, 0)
+}
+
+// writeLevelFrom is writeLevel with cell i holding first+i.
+func writeLevelFrom(t *testing.T, s *Store, id, n int, first uint64) *Level {
+	t.Helper()
 	w, err := s.NewLevelWriter(id)
 	if err != nil {
 		t.Fatalf("NewLevelWriter: %v", err)
 	}
 	var cell [CellBytes]byte
 	for i := 0; i < n; i++ {
-		binary.LittleEndian.PutUint64(cell[:8], uint64(i))
+		binary.LittleEndian.PutUint64(cell[:8], first+uint64(i))
 		if err := w.Append(cell[:]); err != nil {
 			t.Fatalf("Append(%d): %v", i, err)
 		}
@@ -256,59 +264,194 @@ func TestUnmatchedEndSharedReadsPanics(t *testing.T) {
 	s.EndSharedReads()
 }
 
-// TestSharedReadStress hammers the frozen cache from many goroutines
-// under -race: resident chunks are served concurrently without LRU
-// mutation, misses read around the cache, and the atomic counters add
-// up. The cache is warmed with a known subset first so both paths run.
-func TestSharedReadStress(t *testing.T) {
-	s := openTest(t, 4)
-	const cells = 256
+// TestReadCellsSpansChunks checks the range read: every byte right for
+// ranges inside one chunk, across boundaries and over the whole level,
+// at exactly one cache lookup per chunk touched.
+func TestReadCellsSpansChunks(t *testing.T) {
+	s := openTest(t, 8)
+	const cells = 37 // 4 cells per chunk, a padded final chunk
 	l := writeLevel(t, s, 0, cells)
-	// Warm chunks 0..3.
-	for c := 0; c < 4; c++ {
-		cellValue(t, l, c*4)
+	for _, tc := range []struct{ i, n, lookups int }{
+		{0, 0, 0},
+		{5, 1, 1},
+		{4, 4, 1},  // exactly one chunk
+		{3, 2, 2},  // straddles a boundary
+		{2, 11, 4}, // several chunks, ragged at both ends
+		{36, 1, 1}, // the level's last cell, in the padded chunk
+		{0, cells, 10},
+		{cells, 0, 0},
+	} {
+		s.ResetCounters()
+		dst := make([]byte, tc.n*CellBytes)
+		if err := l.ReadCells(tc.i, tc.n, dst); err != nil {
+			t.Fatalf("ReadCells(%d, %d): %v", tc.i, tc.n, err)
+		}
+		for j := 0; j < tc.n; j++ {
+			if got := binary.LittleEndian.Uint64(dst[j*CellBytes:]); got != uint64(tc.i+j) {
+				t.Fatalf("ReadCells(%d, %d)[%d] = %d", tc.i, tc.n, j, got)
+			}
+		}
+		if got := int(s.CacheHits() + s.ChunkReads()); got != tc.lookups {
+			t.Fatalf("ReadCells(%d, %d) made %d lookups, want %d", tc.i, tc.n, got, tc.lookups)
+		}
 	}
-	s.ResetCounters()
+	for _, bad := range [][2]int{{-1, 1}, {36, 2}, {0, -1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("ReadCells(%d, %d) out of range did not panic", bad[0], bad[1])
+				}
+			}()
+			l.ReadCells(bad[0], bad[1], nil) //nolint:errcheck // must panic first
+		}()
+	}
+}
 
+// cacheFootprint counts the pages that hold or are receiving a chunk,
+// and the page buffers allocated so far.
+func (s *Store) cacheFootprint() (resident, buffers int) {
+	for i := range s.sets {
+		st := &s.sets[i]
+		st.mu.Lock()
+		for j := range st.pages {
+			p := &st.pages[j]
+			if p.gen != 0 || p.busy {
+				resident++
+			}
+			if p.buf != nil {
+				buffers++
+			}
+		}
+		st.mu.Unlock()
+	}
+	return resident, buffers
+}
+
+// stressInEpoch is TestSharedReadStress's bracketed part.
+func stressInEpoch(t *testing.T, s *Store, l *Level, cacheChunks int) {
+	cells := l.Cells()
 	s.BeginSharedReads()
+	defer s.EndSharedReads()
+	var lookups atomic.Uint64
+	stop := make(chan struct{})
+	var watcher sync.WaitGroup
+	watcher.Add(1)
+	go func() {
+		defer watcher.Done()
+		for {
+			if resident, buffers := s.cacheFootprint(); resident > cacheChunks || buffers > cacheChunks {
+				t.Errorf("cache of %d chunks holds %d pages, %d buffers", cacheChunks, resident, buffers)
+				return
+			}
+			select {
+			case <-stop:
+				return
+			default:
+				runtime.Gosched()
+			}
+		}
+	}()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(seed int) {
 			defer wg.Done()
-			var cell [CellBytes]byte
-			r := l.NewReader(0)
+			buf := make([]byte, 2*s.cellsPerChunk*CellBytes)
 			x := uint64(seed)*2654435761 + 1
 			for i := 0; i < 2000; i++ {
 				x = x*6364136223846793005 + 1442695040888963407
 				idx := int(x>>33) % cells
-				if err := l.ReadCell(idx, cell[:]); err != nil {
-					t.Errorf("ReadCell(%d): %v", idx, err)
+				n := 1
+				if i%3 != 0 { // ReadCells over up to two chunks' worth
+					n += int(x>>20) % (2*s.cellsPerChunk - 1)
+					if idx+n > cells {
+						n = cells - idx
+					}
+				}
+				dst := buf[:n*CellBytes]
+				var err error
+				if i%3 == 0 {
+					err = l.ReadCell(idx, dst)
+				} else {
+					err = l.ReadCells(idx, n, dst)
+				}
+				if err != nil {
+					t.Errorf("read [%d, %d): %v", idx, idx+n, err)
 					return
 				}
-				if got := binary.LittleEndian.Uint64(cell[:8]); got != uint64(idx) {
-					t.Errorf("cell %d = %d during epoch", idx, got)
-					return
-				}
-				// Interleave some sequential traffic too.
-				if r.Remaining() > 0 && i%17 == 0 {
-					if err := r.Next(cell[:]); err != nil {
-						t.Errorf("reader: %v", err)
+				for j := 0; j < n; j++ {
+					if got := binary.LittleEndian.Uint64(dst[j*CellBytes:]); got != uint64(idx+j) {
+						t.Errorf("cell %d = %d during epoch", idx+j, got)
 						return
 					}
 				}
+				lookups.Add(uint64((idx+n-1)/s.cellsPerChunk - idx/s.cellsPerChunk + 1))
 			}
 		}(g)
 	}
 	wg.Wait()
-	s.EndSharedReads()
-
+	close(stop)
+	watcher.Wait()
+	if got := s.CacheHits() + s.ChunkReads(); got != lookups.Load() {
+		t.Fatalf("hits %d + reads %d != %d lookups issued", s.CacheHits(), s.ChunkReads(), lookups.Load())
+	}
 	if s.ChunkReads() == 0 || s.CacheHits() == 0 {
 		t.Fatalf("stress saw reads=%d hits=%d; both paths must run", s.ChunkReads(), s.CacheHits())
 	}
-	// The frozen cache still holds exactly the warmed chunks.
-	if len(s.table) != 4 {
-		t.Fatalf("epoch mutated the resident set: %d pages", len(s.table))
+
+	// Still inside the epoch: what misses, fills.
+	subset := cacheChunks / 2
+	for pass := 0; pass < 2; pass++ {
+		if pass == 1 {
+			s.ResetCounters()
+		}
+		for c := 0; c < subset; c++ {
+			cellValue(t, l, (7*c+3)*s.cellsPerChunk)
+		}
+	}
+	if s.ChunkReads() != 0 || int(s.CacheHits()) != subset {
+		t.Fatalf("re-read of %d chunks inside the epoch: reads=%d hits=%d, want all hits",
+			subset, s.ChunkReads(), s.CacheHits())
+	}
+}
+
+// TestSharedReadStress is the page cache's concurrency contract, under
+// -race: goroutines issue random ReadCell/ReadCells inside an epoch over
+// a level 16 times the cache. Every byte must be right, the cache may
+// never hold more pages than its budget, every lookup is exactly one hit
+// or one chunk read, and misses fill the cache although an epoch is open
+// — a re-read of a subset half the cache size is all hits. The 4-chunk
+// case is a single set with fewer pages than readers, so fills also
+// have to wait for a page; the 64-chunk case spreads over four sets.
+func TestSharedReadStress(t *testing.T) {
+	for _, cacheChunks := range []int{4, 64} {
+		s := openTest(t, cacheChunks)
+		cells := 16 * cacheChunks * s.cellsPerChunk
+		l := writeLevel(t, s, 0, cells)
+		s.ResetCounters()
+
+		stressInEpoch(t, s, l, cacheChunks)
+
+		// Replacing or removing the level strands its cached pages: the
+		// same cells now miss and come back with the new image's bytes.
+		for round := uint64(1); round <= 2; round++ {
+			if round == 2 {
+				if err := s.RemoveLevel(0); err != nil {
+					t.Fatalf("RemoveLevel: %v", err)
+				}
+			}
+			l = writeLevelFrom(t, s, 0, cells/2, round<<32)
+			s.ResetCounters()
+			for c := 0; c < cacheChunks/2; c++ {
+				at := (7*c + 3) * s.cellsPerChunk
+				if got := cellValue(t, l, at); got != round<<32+uint64(at) {
+					t.Fatalf("cell %d of image %d = %#x", at, round, got)
+				}
+			}
+			if s.CacheHits() != 0 {
+				t.Fatalf("new image served %d lookups from the old image's pages", s.CacheHits())
+			}
+		}
 	}
 }
 
