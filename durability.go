@@ -105,7 +105,8 @@ type DurableDictionary = durable.Dict
 //	    repro.WithGrowthFactor(4)), repro.WithCheckpointEvery(1024))
 //
 // On reopen an existing checkpoint's recorded kind wins (WithInner may
-// be omitted); the log tail then replays on top. It is
+// be omitted); the log tail then replays on top, and a recovered
+// lookahead array is compacted into a single level. It is
 // Build("durable", WithWALPath(path), opts...) with the concrete return
 // type, so Checkpoint/Sync/Close are in reach.
 func Open(path string, opts ...Option) (*DurableDictionary, error) {

@@ -308,6 +308,58 @@ func TestAutomaticCheckpointing(t *testing.T) {
 	}
 }
 
+// TestOpenCompactsRecoveredStructure pins that a reopened lookahead
+// array is a single level whatever shape it stopped in: a checkpoint
+// spread over several levels plus a log tail holding overwrites and a
+// delete come back with an exact Len — which, short of a merge reaching
+// the bottom level, only a compaction gives — and every key intact.
+func TestOpenCompactsRecoveredStructure(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "d.wal")
+	d, err := Open(path, WithInner("gcola"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 1000; i++ {
+		d.Insert(i, i)
+	}
+	if err := d.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	for i := uint64(0); i < 10; i++ {
+		d.Insert(i, i+100)
+	}
+	d.Delete(500)
+	if d.Len() == 999 {
+		t.Fatal("Len already exact before the reopen: the overwrites were merged with their originals, so this test shows nothing")
+	}
+	mustClose(t, d)
+
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mustClose(t, r)
+	if r.Len() != 999 {
+		t.Fatalf("recovered Len = %d, want exactly 999", r.Len())
+	}
+	for i := uint64(0); i < 1000; i++ {
+		v, ok := r.Search(i)
+		want := i
+		if i < 10 {
+			want = i + 100
+		}
+		if i == 500 {
+			if ok {
+				t.Fatalf("deleted key 500 recovered with value %d", v)
+			}
+			continue
+		}
+		if !ok || v != want {
+			t.Fatalf("Search(%d) = (%d, %v), want %d", i, v, ok, want)
+		}
+	}
+}
+
 // TestOpenSurvivesTornTail drops garbage at the end of the WAL (a crash
 // mid-append) and expects recovery of exactly the intact prefix.
 func TestOpenSurvivesTornTail(t *testing.T) {

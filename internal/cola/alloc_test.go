@@ -1,6 +1,8 @@
 package cola
 
 import (
+	"bytes"
+	"io"
 	"testing"
 
 	"repro/internal/core"
@@ -236,4 +238,40 @@ func TestMergeScratchDoesNotAliasLevels(t *testing.T) {
 		}
 	}
 	c.checkInvariants()
+}
+
+// TestSnapshotCodecAllocs pins the codec's memory contract: encoding
+// allocates nothing once a slab is pooled, and decoding allocates per
+// level (the arrays it fills), never per cell — an eightfold larger
+// structure costs a handful more allocations, not eight times as many.
+func TestSnapshotCodecAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop the pooled slab at random")
+	}
+	opt := Options{Growth: 2, PointerDensity: DefaultPointerDensity}
+	decodeAllocs := make(map[int]float64)
+	for _, n := range []int{1 << 14, 1 << 17} {
+		c := loadedForSnapshot(New(opt), n)
+		var payload bytes.Buffer
+		if _, err := c.WriteTo(&payload); err != nil {
+			t.Fatal(err)
+		}
+		if avg := testing.AllocsPerRun(10, func() {
+			if _, err := c.WriteTo(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		}); avg != 0 {
+			t.Fatalf("WriteTo of %d keys allocates %.1f times, want 0", n, avg)
+		}
+		r := bytes.NewReader(nil)
+		decodeAllocs[n] = testing.AllocsPerRun(10, func() {
+			r.Reset(payload.Bytes())
+			if _, err := New(opt).ReadFrom(r); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := decodeAllocs[1<<14], decodeAllocs[1<<17]; large > small+8 {
+		t.Fatalf("ReadFrom allocates %.0f times for 2^14 keys and %.0f for 2^17: it scales with cells, not levels", small, large)
+	}
 }

@@ -1,12 +1,12 @@
 package cola
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/extmem"
@@ -55,10 +55,81 @@ const (
 
 var _ core.Snapshotter = (*GCOLA)(nil)
 
-// entryBytes is the wire size of one persisted cell.
-const entryBytes = 8 + 8 + 4 + 4 + 1
+// entryBytes is the wire size of one persisted cell; headerBytes that
+// of the fixed fields ahead of the first level.
+const (
+	entryBytes  = 8 + 8 + 4 + 4 + 1
+	headerBytes = 4 + 4 + 4 + 8 + 8 + 4
+)
 
-// WriteTo serializes the structure. It implements io.WriterTo.
+// putEntry packs e into b[:entryBytes], the persisted cell layout.
+func putEntry(b []byte, e entry) {
+	_ = b[entryBytes-1]
+	binary.LittleEndian.PutUint64(b[0:8], e.key)
+	binary.LittleEndian.PutUint64(b[8:16], e.val)
+	binary.LittleEndian.PutUint32(b[16:20], uint32(e.ptr))
+	binary.LittleEndian.PutUint32(b[20:24], uint32(e.left))
+	b[24] = e.kind
+}
+
+// getEntry unpacks b[:entryBytes].
+func getEntry(b []byte) entry {
+	_ = b[entryBytes-1]
+	return entry{
+		key:  binary.LittleEndian.Uint64(b[0:8]),
+		val:  binary.LittleEndian.Uint64(b[8:16]),
+		ptr:  int32(binary.LittleEndian.Uint32(b[16:20])),
+		left: int32(binary.LittleEndian.Uint32(b[20:24])),
+		kind: b[24],
+	}
+}
+
+// slabCells is how many cells the codec packs or parses between calls
+// on the stream: 100 KiB of wire bytes, so a multi-gigabyte level costs
+// one Write (or Read) per slab instead of several calls per cell, and
+// small enough to stay cache-resident while it is filled.
+const slabCells = 4096
+
+// snapSlab is one codec call's scratch: wire holds stream bytes, raw the
+// spilled-image cells they are transcoded from or to. Slabs are pooled,
+// so a checkpoint allocates nothing per cell and, warm, nothing at all.
+type snapSlab struct {
+	wire [slabCells * entryBytes]byte
+	raw  [slabCells * extmem.CellBytes]byte
+}
+
+var slabPool = sync.Pool{New: func() any { return new(snapSlab) }}
+
+// slabWriter packs a stream into buf and hands it to w a slab at a time.
+type slabWriter struct {
+	w    io.Writer
+	buf  []byte
+	fill int   // buf[:fill] is packed and not yet written
+	n    int64 // bytes w has accepted
+}
+
+// room returns the unpacked tail of the slab, at least need bytes long,
+// writing the packed part out first when it is shorter. The caller
+// packs into the front of it and advances fill.
+func (s *slabWriter) room(need int) ([]byte, error) {
+	if len(s.buf)-s.fill < need {
+		if err := s.flush(); err != nil {
+			return nil, err
+		}
+	}
+	return s.buf[s.fill:], nil
+}
+
+func (s *slabWriter) flush() error {
+	k, err := s.w.Write(s.buf[:s.fill])
+	s.n += int64(k)
+	s.fill = 0
+	return err
+}
+
+// WriteTo serializes the structure: one sequential pass that packs
+// cells into a pooled slab and writes each full slab with one call. It
+// implements io.WriterTo.
 //
 //repro:allow damcharge snapshot serialization is a whole-structure sequential pass outside the per-op DAM cost model
 func (c *GCOLA) WriteTo(w io.Writer) (int64, error) {
@@ -75,85 +146,123 @@ func (c *GCOLA) WriteTo(w io.Writer) (int64, error) {
 				l, c.levels[l].cells, maxSnapshotLevelCells)
 		}
 	}
-	bw := bufio.NewWriter(w)
-	var n int64
-	write := func(v any) error {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-		n += int64(binary.Size(v))
-		return nil
-	}
-	if _, err := bw.WriteString(snapshotMagic); err != nil {
-		return n, err
-	}
-	n += int64(len(snapshotMagic))
-	if err := write(uint32(snapshotVersion)); err != nil {
-		return n, err
-	}
-	if err := write(uint32(c.opt.Growth)); err != nil {
-		return n, err
-	}
-	if err := write(uint64(floatBits(c.opt.PointerDensity))); err != nil {
-		return n, err
-	}
-	if err := write(int64(c.n)); err != nil {
-		return n, err
-	}
-	if err := write(uint32(len(c.levels))); err != nil {
-		return n, err
-	}
-	writeEntry := func(e entry) error {
-		if err := write(e.key); err != nil {
-			return err
-		}
-		if err := write(e.val); err != nil {
-			return err
-		}
-		if err := write(e.ptr); err != nil {
-			return err
-		}
-		if err := write(e.left); err != nil {
-			return err
-		}
-		return write(e.kind)
-	}
+	slab := slabPool.Get().(*snapSlab)
+	defer slabPool.Put(slab)
+	sw := slabWriter{w: w, buf: slab.wire[:]}
+
+	b := sw.buf[:headerBytes]
+	copy(b[0:4], snapshotMagic)
+	binary.LittleEndian.PutUint32(b[4:8], snapshotVersion)
+	binary.LittleEndian.PutUint32(b[8:12], uint32(c.opt.Growth))
+	binary.LittleEndian.PutUint64(b[12:20], math.Float64bits(c.opt.PointerDensity))
+	binary.LittleEndian.PutUint64(b[20:28], uint64(c.n))
+	binary.LittleEndian.PutUint32(b[28:32], uint32(len(c.levels)))
+	sw.fill = headerBytes
+
 	for l := range c.levels {
 		lv := &c.levels[l]
-		if err := write(uint32(lv.start)); err != nil {
-			return n, err
+		b, err := sw.room(8)
+		if err != nil {
+			return sw.n, err
 		}
-		if err := write(uint32(lv.used())); err != nil {
-			return n, err
-		}
+		binary.LittleEndian.PutUint32(b[0:4], uint32(lv.start))
+		binary.LittleEndian.PutUint32(b[4:8], uint32(lv.used()))
+		sw.fill += 8
 		if lv.ext != nil {
 			// A spilled level serializes straight from its chunk image,
-			// one sequential pass, never materialized in RAM; the emitted
-			// bytes are identical to the RAM path's.
+			// one sequential pass, never materialized in RAM. A disk cell
+			// is a wire cell plus padding, so transcoding is a copy of
+			// each cell's head and the bytes match the RAM path's.
 			rd := lv.ext.NewReader(0)
-			var raw [extmem.CellBytes]byte
 			for rd.Remaining() > 0 {
-				if err := rd.Next(raw[:]); err != nil {
-					return n, fmt.Errorf("cola: level %d spilled snapshot read: %w", l, err)
+				if b, err = sw.room(entryBytes); err != nil {
+					return sw.n, err
 				}
-				if err := writeEntry(decodeCell(&raw)); err != nil {
-					return n, err
+				k := min(len(b)/entryBytes, rd.Remaining())
+				raw := slab.raw[:k*extmem.CellBytes]
+				if err := rd.Next(raw); err != nil {
+					return sw.n, fmt.Errorf("cola: level %d spilled snapshot read: %w", l, err)
 				}
+				for ; len(raw) > 0; raw, b = raw[extmem.CellBytes:], b[entryBytes:] {
+					copy(b[:entryBytes], raw)
+				}
+				sw.fill += k * entryBytes
 			}
 			continue
 		}
-		for i := lv.start; i < len(lv.data); i++ {
-			if err := writeEntry(lv.data[i]); err != nil {
-				return n, err
+		for i := lv.start; i < len(lv.data); {
+			if b, err = sw.room(entryBytes); err != nil {
+				return sw.n, err
 			}
+			k := min(len(b)/entryBytes, len(lv.data)-i)
+			for _, e := range lv.data[i : i+k] {
+				putEntry(b, e)
+				b = b[entryBytes:]
+			}
+			sw.fill += k * entryBytes
+			i += k
 		}
 	}
-	return n, bw.Flush()
+	err := sw.flush()
+	return sw.n, err
+}
+
+// slabReader parses a stream through buf: whole fields for the header,
+// a slab of cells at a time after it.
+type slabReader struct {
+	r   io.Reader
+	buf []byte
+	n   int64 // bytes consumed as whole fields and cells
+}
+
+// field reads one size-byte field into the front of buf.
+func (s *slabReader) field(size int) ([]byte, error) {
+	if _, err := io.ReadFull(s.r, s.buf[:size]); err != nil {
+		return nil, s.truncated()
+	}
+	s.n += int64(size)
+	return s.buf[:size], nil
+}
+
+func (s *slabReader) u32() (uint32, error) {
+	b, err := s.field(4)
+	if err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint32(b), nil
+}
+
+func (s *slabReader) u64() (uint64, error) {
+	b, err := s.field(8)
+	if err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint64(b), nil
+}
+
+// cells reads want cells into the front of buf and reports how many
+// arrived whole. On a short stream that is fewer than want, with the
+// truncation error placed at the first incomplete cell: the caller
+// still validates the whole ones first, so damage ahead of the cut is
+// reported as itself, exactly as cell-at-a-time parsing would.
+func (s *slabReader) cells(want int) (int, error) {
+	got, err := io.ReadFull(s.r, s.buf[:want*entryBytes])
+	whole := got / entryBytes
+	s.n += int64(whole * entryBytes)
+	if err != nil {
+		return whole, s.truncated()
+	}
+	return whole, nil
+}
+
+func (s *slabReader) truncated() error {
+	return fmt.Errorf("cola: snapshot truncated at byte %d: %w", s.n, ErrCorrupt)
 }
 
 // ReadFrom restores a snapshot into an empty structure created with the
 // same Options (growth and pointer density are verified against the
-// stream). It implements io.ReaderFrom.
+// stream). It implements io.ReaderFrom, and reads exactly the snapshot's
+// bytes from r, a slab of cells at a time.
 //
 // Decoding is defensive: magic, version, level occupancy, entry kinds,
 // per-level key order, and lookahead pointer targets are all validated,
@@ -170,66 +279,51 @@ func (c *GCOLA) ReadFrom(r io.Reader) (int64, error) {
 			return 0, errors.New("cola: ReadFrom into a non-empty structure")
 		}
 	}
-	br := bufio.NewReader(r)
-	var n int64
-	readFull := func(b []byte) error {
-		if _, err := io.ReadFull(br, b); err != nil {
-			return fmt.Errorf("cola: snapshot truncated at byte %d: %w", n, ErrCorrupt)
-		}
-		n += int64(len(b))
-		return nil
-	}
-	var w8 [8]byte
-	readU32 := func() (uint32, error) {
-		err := readFull(w8[:4])
-		return binary.LittleEndian.Uint32(w8[:4]), err
-	}
-	readU64 := func() (uint64, error) {
-		err := readFull(w8[:8])
-		return binary.LittleEndian.Uint64(w8[:8]), err
-	}
+	slab := slabPool.Get().(*snapSlab)
+	defer slabPool.Put(slab)
+	sr := slabReader{r: r, buf: slab.wire[:]}
 
-	magic := make([]byte, len(snapshotMagic))
-	if err := readFull(magic); err != nil {
-		return n, err
+	magic, err := sr.field(len(snapshotMagic))
+	if err != nil {
+		return sr.n, err
 	}
 	if string(magic) != snapshotMagic {
-		return n, fmt.Errorf("cola: snapshot magic %q, want %q: %w", magic, snapshotMagic, ErrBadMagic)
+		return sr.n, fmt.Errorf("cola: snapshot magic %q, want %q: %w", magic, snapshotMagic, ErrBadMagic)
 	}
-	version, err := readU32()
+	version, err := sr.u32()
 	if err != nil {
-		return n, err
+		return sr.n, err
 	}
 	if version != snapshotVersion {
-		return n, fmt.Errorf("cola: snapshot version %d, this build reads %d: %w",
+		return sr.n, fmt.Errorf("cola: snapshot version %d, this build reads %d: %w",
 			version, snapshotVersion, ErrBadVersion)
 	}
-	growth, err := readU32()
+	growth, err := sr.u32()
 	if err != nil {
-		return n, err
+		return sr.n, err
 	}
 	if int(growth) != c.opt.Growth {
-		return n, fmt.Errorf("cola: snapshot growth %d, structure configured with %d", growth, c.opt.Growth)
+		return sr.n, fmt.Errorf("cola: snapshot growth %d, structure configured with %d", growth, c.opt.Growth)
 	}
-	densityBits, err := readU64()
+	densityBits, err := sr.u64()
 	if err != nil {
-		return n, err
+		return sr.n, err
 	}
-	if bitsFloat(densityBits) != c.opt.PointerDensity {
-		return n, fmt.Errorf("cola: snapshot pointer density %v, structure configured with %v",
-			bitsFloat(densityBits), c.opt.PointerDensity)
+	if density := math.Float64frombits(densityBits); density != c.opt.PointerDensity {
+		return sr.n, fmt.Errorf("cola: snapshot pointer density %v, structure configured with %v",
+			density, c.opt.PointerDensity)
 	}
-	liveBits, err := readU64()
+	liveBits, err := sr.u64()
 	if err != nil {
-		return n, err
+		return sr.n, err
 	}
 	live := int64(liveBits)
-	levelCount, err := readU32()
+	levelCount, err := sr.u32()
 	if err != nil {
-		return n, err
+		return sr.n, err
 	}
 	if levelCount > maxSnapshotLevels {
-		return n, fmt.Errorf("cola: snapshot claims %d levels, limit %d: %w",
+		return sr.n, fmt.Errorf("cola: snapshot claims %d levels, limit %d: %w",
 			levelCount, maxSnapshotLevels, ErrCorrupt)
 	}
 
@@ -257,25 +351,24 @@ func (c *GCOLA) ReadFrom(r io.Reader) (int64, error) {
 	levels := make([]level, 0, levelCount)
 	offsets := make([]int64, 0, levelCount)
 	totalReal := 0
-	var cell [entryBytes]byte
 	for l := 0; l < int(levelCount); l++ {
-		start, err := readU32()
+		start, err := sr.u32()
 		if err != nil {
-			return n, err
+			return sr.n, err
 		}
-		used, err := readU32()
+		used, err := sr.u32()
 		if err != nil {
-			return n, err
+			return sr.n, err
 		}
 		capTotal := c.totalCapacity(l)
 		if capTotal > maxSnapshotLevelCells {
-			return n, fmt.Errorf("cola: level %d capacity %d exceeds decode limit %d: %w",
+			return sr.n, fmt.Errorf("cola: level %d capacity %d exceeds decode limit %d: %w",
 				l, capTotal, maxSnapshotLevelCells, ErrCorrupt)
 		}
 		// Validate occupancy BEFORE allocating level storage, so a lying
 		// header cannot drive an allocation the stream does not back.
 		if int64(start)+int64(used) != int64(capTotal) {
-			return n, fmt.Errorf("cola: level %d occupancy %d+%d does not fit capacity %d: %w",
+			return sr.n, fmt.Errorf("cola: level %d occupancy %d+%d does not fit capacity %d: %w",
 				l, start, used, capTotal, ErrCorrupt)
 		}
 		lv := level{start: int(start), cells: capTotal}
@@ -285,7 +378,7 @@ func (c *GCOLA) ReadFrom(r io.Reader) (int64, error) {
 		} else if used > 0 {
 			w, werr := c.ext.NewLevelWriter(l)
 			if werr != nil {
-				return n, fmt.Errorf("cola: level %d spill writer during load: %w", l, werr)
+				return sr.n, fmt.Errorf("cola: level %d spill writer during load: %w", l, werr)
 			}
 			pendingWriter = w
 		}
@@ -299,51 +392,54 @@ func (c *GCOLA) ReadFrom(r io.Reader) (int64, error) {
 			nextCap = int32(min(c.totalCapacity(l+1), math.MaxInt32))
 		}
 		prevKey := uint64(0)
-		var raw [extmem.CellBytes]byte
-		for i := lv.start; i < lv.cells; i++ {
-			if err := readFull(cell[:]); err != nil {
-				return n, err
-			}
-			var e entry
-			e.key = binary.LittleEndian.Uint64(cell[0:8])
-			e.val = binary.LittleEndian.Uint64(cell[8:16])
-			e.ptr = int32(binary.LittleEndian.Uint32(cell[16:20]))
-			e.left = int32(binary.LittleEndian.Uint32(cell[20:24]))
-			e.kind = cell[24]
-			if i > lv.start && e.key < prevKey {
-				return n, fmt.Errorf("cola: level %d not in key order at cell %d: %w", l, i, ErrCorrupt)
-			}
-			prevKey = e.key
-			switch e.kind {
-			case kindLookahead:
-				if e.ptr < 0 || e.ptr >= nextCap {
-					return n, fmt.Errorf("cola: level %d lookahead pointer %d outside next level capacity %d: %w",
-						l, e.ptr, nextCap, ErrCorrupt)
+		for i := lv.start; i < lv.cells; {
+			got, rerr := sr.cells(min(slabCells, lv.cells-i))
+			wire, raw := sr.buf, slab.raw[:]
+			for end := i + got; i < end; i, wire = i+1, wire[entryBytes:] {
+				e := getEntry(wire)
+				if i > lv.start && e.key < prevKey {
+					return sr.n, fmt.Errorf("cola: level %d not in key order at cell %d: %w", l, i, ErrCorrupt)
 				}
-				lv.la++
-			case kindReal, kindTombstone:
-				lv.real++
-			default:
-				return n, fmt.Errorf("cola: level %d entry kind %d: %w", l, e.kind, ErrCorrupt)
+				prevKey = e.key
+				switch e.kind {
+				case kindLookahead:
+					if e.ptr < 0 || e.ptr >= nextCap {
+						return sr.n, fmt.Errorf("cola: level %d lookahead pointer %d outside next level capacity %d: %w",
+							l, e.ptr, nextCap, ErrCorrupt)
+					}
+					lv.la++
+				case kindReal, kindTombstone:
+					lv.real++
+				default:
+					return sr.n, fmt.Errorf("cola: level %d entry kind %d: %w", l, e.kind, ErrCorrupt)
+				}
+				if e.left < -1 || e.left >= nextCap {
+					return sr.n, fmt.Errorf("cola: level %d left pointer %d outside next level capacity %d: %w",
+						l, e.left, nextCap, ErrCorrupt)
+				}
+				if spilled {
+					// The disk cell is the validated wire cell plus padding.
+					copy(raw, wire[:entryBytes])
+					clear(raw[entryBytes:extmem.CellBytes])
+					raw = raw[extmem.CellBytes:]
+				} else {
+					lv.data[i] = e
+				}
 			}
-			if e.left < -1 || e.left >= nextCap {
-				return n, fmt.Errorf("cola: level %d left pointer %d outside next level capacity %d: %w",
-					l, e.left, nextCap, ErrCorrupt)
+			if rerr != nil {
+				return sr.n, rerr
 			}
 			if spilled {
-				encodeCell(&raw, e)
-				if err := pendingWriter.Append(raw[:]); err != nil {
-					return n, fmt.Errorf("cola: level %d spill write during load: %w", l, err)
+				if err := pendingWriter.Append(slab.raw[:got*extmem.CellBytes]); err != nil {
+					return sr.n, fmt.Errorf("cola: level %d spill write during load: %w", l, err)
 				}
-			} else {
-				lv.data[i] = e
 			}
 		}
 		if pendingWriter != nil {
 			img, cerr := pendingWriter.Commit()
 			pendingWriter = nil
 			if cerr != nil {
-				return n, fmt.Errorf("cola: level %d spill commit during load: %w", l, cerr)
+				return sr.n, fmt.Errorf("cola: level %d spill commit during load: %w", l, cerr)
 			}
 			committedIDs = append(committedIDs, l)
 			lv.ext = img
@@ -357,7 +453,7 @@ func (c *GCOLA) ReadFrom(r io.Reader) (int64, error) {
 		offsets = append(offsets, off)
 	}
 	if live < 0 || live > int64(totalReal) {
-		return n, fmt.Errorf("cola: snapshot live count %d inconsistent with %d stored entries: %w",
+		return sr.n, fmt.Errorf("cola: snapshot live count %d inconsistent with %d stored entries: %w",
 			live, totalReal, ErrCorrupt)
 	}
 
@@ -366,9 +462,5 @@ func (c *GCOLA) ReadFrom(r io.Reader) (int64, error) {
 	c.offsets = offsets
 	c.n = int(live)
 	committedOK = true
-	return n, nil
+	return sr.n, nil
 }
-
-func floatBits(f float64) uint64 { return math.Float64bits(f) }
-
-func bitsFloat(b uint64) float64 { return math.Float64frombits(b) }

@@ -28,33 +28,20 @@ import (
 )
 
 // cellKindOffset is where the kind byte sits in an on-disk cell.
-const cellKindOffset = 24
+const cellKindOffset = entryBytes - 1
 
-// encodeCell packs one entry into its 32-byte on-disk cell: key u64,
-// val u64, ptr u32, left u32, kind u8, 7 bytes zero padding — the same
-// field order as the snapshot codec, at core.ElementBytes so chunk
-// geometry matches DAM block geometry.
+// encodeCell packs one entry into its 32-byte on-disk cell: the
+// snapshot codec's persisted cell (key u64, val u64, ptr u32, left u32,
+// kind u8) then 7 bytes zero padding, at core.ElementBytes so chunk
+// geometry matches DAM block geometry. The snapshot codec relies on the
+// shared head to transcode spilled levels by copying.
 func encodeCell(dst *[extmem.CellBytes]byte, e entry) {
-	binary.LittleEndian.PutUint64(dst[0:8], e.key)
-	binary.LittleEndian.PutUint64(dst[8:16], e.val)
-	binary.LittleEndian.PutUint32(dst[16:20], uint32(e.ptr))
-	binary.LittleEndian.PutUint32(dst[20:24], uint32(e.left))
-	dst[cellKindOffset] = e.kind
-	for i := cellKindOffset + 1; i < extmem.CellBytes; i++ {
-		dst[i] = 0
-	}
+	putEntry(dst[:], e)
+	clear(dst[entryBytes:])
 }
 
 // decodeCell unpacks one on-disk cell.
-func decodeCell(src *[extmem.CellBytes]byte) entry {
-	return entry{
-		key:  binary.LittleEndian.Uint64(src[0:8]),
-		val:  binary.LittleEndian.Uint64(src[8:16]),
-		ptr:  int32(binary.LittleEndian.Uint32(src[16:20])),
-		left: int32(binary.LittleEndian.Uint32(src[20:24])),
-		kind: src[cellKindOffset],
-	}
-}
+func decodeCell(src *[extmem.CellBytes]byte) entry { return getEntry(src[:]) }
 
 // cellAt reads logical cell i of level l from whichever home the level
 // lives in: the RAM array directly, or the spilled image through the

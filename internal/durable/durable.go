@@ -78,8 +78,10 @@ type Options struct {
 // mutation (never acknowledging a write that replay could not reach)
 // until a successful Checkpoint empties the log. A failed automatic
 // checkpoint does NOT panic: the log is intact, so no acknowledged
-// write is at risk; the error is retained in Err and the next record
-// retries.
+// write is at risk; the first such error is retained in Err and the
+// schedule re-arms, so the next attempt comes CheckpointEvery records
+// later — not on every record, which on a full disk would turn each
+// mutation into a whole-structure encode under the write lock.
 type Dict struct {
 	mu            sync.RWMutex
 	inner         core.Dictionary
@@ -134,12 +136,16 @@ func (d *Dict) mustAppend(err error) {
 	}
 }
 
-// afterAppend advances the checkpoint schedule.
+// afterAppend advances the checkpoint schedule. A failed checkpoint
+// re-arms it like a successful one (see the type comment).
 func (d *Dict) afterAppend() {
 	d.sinceCkpt++
 	if d.every > 0 && d.sinceCkpt >= d.every {
-		if err := d.checkpointLocked(); err != nil && d.err == nil {
-			d.err = err
+		if err := d.checkpointLocked(); err != nil {
+			d.sinceCkpt = 0
+			if d.err == nil {
+				d.err = err
+			}
 		}
 	}
 }
@@ -315,12 +321,15 @@ func (d *Dict) checkpointLocked() error {
 }
 
 // WriteCheckpointFile writes one checkpoint snapshot crash-safely:
-// temp sibling, fsync, rename, parent-directory fsync. The directory
-// sync matters for ordering: checkpointLocked truncates (and fsyncs)
-// the log right after this returns, so the rename must be on stable
-// storage first — otherwise a power loss could surface the durable
-// truncation together with the OLD checkpoint, losing acknowledged
-// records. The registry also uses this helper to seed a fresh durable
+// temp sibling, fsync, rename, parent-directory fsync. write receives
+// the temp file itself, unwrapped, so snap.Encode can stream the
+// structure into it in one pass and patch the payload length in place
+// before the fsync; the file is complete when write returns and is
+// only then published by the rename. The directory sync matters for
+// ordering: checkpointLocked truncates (and fsyncs) the log right
+// after this returns, so the rename must be on stable storage first —
+// otherwise a power loss could surface the durable truncation together
+// with the OLD checkpoint, losing acknowledged records. The registry also uses this helper to seed a fresh durable
 // dictionary's checkpoint (so the inner configuration is always
 // recoverable from disk, even before the first real checkpoint), and
 // the facade's SaveFile reuses it as its atomic file writer.
@@ -373,18 +382,25 @@ func (d *Dict) Sync() error {
 }
 
 // Err reports the first retained failure (a failed automatic
-// checkpoint, or the log error that caused a panic), nil if none.
+// checkpoint, or the log error that caused a panic), nil if none. Like
+// Len, it takes the read side of the lock, so polling it never drains
+// concurrent shared searches.
+//
+//repro:readonly
 func (d *Dict) Err() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.mu.RLock()
+	defer d.mu.RUnlock()
 	return d.err
 }
 
 // Records reports how many records the log currently holds — the replay
-// cost of reopening without a fresh checkpoint.
+// cost of reopening without a fresh checkpoint — on the read side of
+// the lock.
+//
+//repro:readonly
 func (d *Dict) Records() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.mu.RLock()
+	defer d.mu.RUnlock()
 	return d.log.Records()
 }
 

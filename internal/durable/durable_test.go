@@ -1,13 +1,17 @@
 package durable
 
 import (
+	"errors"
 	"io"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/cola"
 	"repro/internal/core"
+	"repro/internal/snap"
 	"repro/internal/wal"
 	"repro/internal/workload"
 )
@@ -239,5 +243,143 @@ func TestCheckpointResetsSchedule(t *testing.T) {
 	}
 	if got := d.Records(); got != 0 {
 		t.Fatalf("Records = %d after manual checkpoint, want 0", got)
+	}
+}
+
+// TestFailedCheckpointRearmsSchedule: a failing automatic checkpoint is
+// retried once per CheckpointEvery records, not on every record after
+// the first failure (which made each PUT a whole-structure encode under
+// the write lock for as long as the disk stayed full); the first error
+// stays in Err, no write is lost, and once snapshots succeed again the
+// schedule carries on and the log empties.
+func TestFailedCheckpointRearmsSchedule(t *testing.T) {
+	const every = 4
+	path := filepath.Join(t.TempDir(), "f.wal")
+	inner := cola.NewCOLA(nil)
+	w, _, err := wal.Open(path, replayInto{inner})
+	if err != nil {
+		t.Fatal(err)
+	}
+	attempts, failing := 0, true
+	first := errors.New("no space left on device")
+	d := New(Options{
+		Inner:           inner,
+		Log:             w,
+		CheckpointPath:  path + ".ckpt",
+		CheckpointEvery: every,
+		WriteSnapshot: func(out io.Writer) error {
+			attempts++
+			if failing {
+				if attempts == 1 {
+					return first
+				}
+				return errors.New("still no space")
+			}
+			_, err := inner.WriteTo(out)
+			return err
+		},
+	})
+	defer mustClose(t, d)
+
+	for i := uint64(0); i < 3*every; i++ {
+		d.Insert(i, i)
+	}
+	if attempts != 3 {
+		t.Fatalf("%d checkpoint attempts over %d records at a period of %d, want 3", attempts, 3*every, every)
+	}
+	if err := d.Err(); !errors.Is(err, first) {
+		t.Fatalf("Err = %v, want the first failure", err)
+	}
+	if got := d.Records(); got != 3*every {
+		t.Fatalf("Records = %d, want all %d still logged", got, 3*every)
+	}
+
+	failing = false
+	for i := uint64(3 * every); i < 4*every; i++ {
+		d.Insert(i, i)
+	}
+	if attempts != 4 || d.Records() != 0 {
+		t.Fatalf("after recovery: %d attempts, %d records logged; want 4 and 0", attempts, d.Records())
+	}
+	if err := d.Err(); !errors.Is(err, first) {
+		t.Fatalf("Err = %v after recovery, want the first failure retained", err)
+	}
+	for i := uint64(0); i < 4*every; i++ {
+		if v, ok := d.Search(i); !ok || v != i {
+			t.Fatalf("Search(%d) = (%d, %v)", i, v, ok)
+		}
+	}
+}
+
+// TestMonitoringAccessorsShareTheLock: Err and Records, like Len, take
+// the read side, so polling them runs alongside shared searches instead
+// of draining them.
+func TestMonitoringAccessorsShareTheLock(t *testing.T) {
+	d := openDict(t, filepath.Join(t.TempDir(), "m.wal"), cola.NewCOLA(nil), 0)
+	defer mustClose(t, d)
+	d.Insert(1, 1)
+
+	d.mu.RLock() // a search in flight
+	defer d.mu.RUnlock()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if err := d.Err(); err != nil {
+			t.Errorf("Err = %v", err)
+		}
+		if got := d.Records(); got != 1 {
+			t.Errorf("Records = %d, want 1", got)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Err/Records wait for readers to drain: they take the exclusive lock")
+	}
+}
+
+// BenchmarkCheckpoint is one whole checkpoint of a million-key gcola to
+// a real file: container, codec, fsync, rename, directory fsync and log
+// reset. MB/s counts the checkpoint file's bytes.
+func BenchmarkCheckpoint(b *testing.B) {
+	const n = 1 << 20
+	inner := cola.NewCOLA(nil)
+	seq := workload.NewRandomUnique(14)
+	elems := make([]core.Element, n)
+	for i := range elems {
+		k := seq.Next()
+		elems[i] = core.Element{Key: k, Value: k}
+	}
+	inner.BulkLoad(elems)
+	path := filepath.Join(b.TempDir(), "b.wal")
+	w, _, err := wal.Open(path, replayInto{inner})
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := &snap.Spec{Kind: "gcola"}
+	d := New(Options{
+		Inner:          inner,
+		Log:            w,
+		CheckpointPath: path + ".ckpt",
+		WriteSnapshot: func(out io.Writer) error {
+			_, err := snap.Encode(out, spec, inner)
+			return err
+		},
+	})
+	defer mustClose(b, d)
+	if err := d.Checkpoint(); err != nil {
+		b.Fatal(err)
+	}
+	info, err := os.Stat(path + ".ckpt")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(info.Size())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := d.Checkpoint(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -540,27 +540,31 @@ func (r *Reader) Skip(n int) {
 	r.next += n
 }
 
-// Next copies the next cell into dst (len CellBytes) and advances.
-// Calling past the end panics; the caller tracks Remaining.
+// Next copies the next len(dst)/CellBytes cells into dst (a whole
+// number of cells) and advances past them: one cell for the merge
+// ladder, a slab of them for the snapshot codec. Calling past the end
+// panics; the caller tracks Remaining.
 func (r *Reader) Next(dst []byte) error {
-	if r.next >= r.l.cells {
+	if len(dst) == 0 || len(dst)%CellBytes != 0 {
+		panic("extmem: Reader.Next destination must be a whole number of cells")
+	}
+	if len(dst)/CellBytes > r.Remaining() {
 		panic("extmem: Reader.Next past the end of the level")
 	}
-	if len(dst) != CellBytes {
-		panic("extmem: Reader.Next destination must be exactly one cell")
-	}
 	cellsPerChunk := r.l.s.cellsPerChunk
-	chunk := r.next / cellsPerChunk
-	if chunk != r.bufChunk {
-		if err := r.l.readChunk(chunk, r.buf); err != nil {
-			return err
+	for len(dst) > 0 {
+		chunk := r.next / cellsPerChunk
+		if chunk != r.bufChunk {
+			if err := r.l.readChunk(chunk, r.buf); err != nil {
+				return err
+			}
+			r.bufChunk = chunk
+			r.l.s.seqReads.Add(1)
 		}
-		r.bufChunk = chunk
-		r.l.s.seqReads.Add(1)
+		n := copy(dst, r.buf[(r.next%cellsPerChunk)*CellBytes:])
+		dst = dst[n:]
+		r.next += n / CellBytes
 	}
-	off := (r.next % cellsPerChunk) * CellBytes
-	copy(dst, r.buf[off:off+CellBytes])
-	r.next++
 	return nil
 }
 
@@ -599,19 +603,25 @@ func (s *Store) NewLevelWriter(id int) (*LevelWriter, error) {
 	return &LevelWriter{s: s, id: id, gen: gen, f: f, tmp: tmp, buf: make([]byte, s.chunkBytes)}, nil
 }
 
-// Append adds one cell (len CellBytes) to the image.
-func (w *LevelWriter) Append(cell []byte) error {
+// Append adds len(cells)/CellBytes cells (a whole number of them) to the
+// image.
+func (w *LevelWriter) Append(cells []byte) error {
 	if w.done {
 		panic("extmem: Append after Commit/Abort")
 	}
-	if len(cell) != CellBytes {
-		panic("extmem: Append cell must be exactly CellBytes")
+	if len(cells) == 0 || len(cells)%CellBytes != 0 {
+		panic("extmem: Append takes a whole number of cells")
 	}
-	copy(w.buf[w.fill:], cell)
-	w.fill += CellBytes
-	w.cells++
-	if w.fill == len(w.buf) {
-		return w.flushChunk()
+	for len(cells) > 0 {
+		n := copy(w.buf[w.fill:], cells)
+		cells = cells[n:]
+		w.fill += n
+		w.cells += n / CellBytes
+		if w.fill == len(w.buf) {
+			if err := w.flushChunk(); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }

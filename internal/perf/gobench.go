@@ -22,8 +22,8 @@ import (
 // counts), qualified by the surrounding "pkg:" header when present —
 // `go test -bench . ./...` spans packages, and two packages may define
 // same-named benchmarks that must not collide on Result.Key.
-// Recognized units: ns/op, B/op, allocs/op, and any custom unit ending
-// in "transfers/op"; others are ignored.
+// Recognized units: ns/op, MB/s, B/op, allocs/op, and any custom unit
+// ending in "transfers/op"; others are ignored.
 func ParseGoBench(r io.Reader) ([]Result, error) {
 	var out []Result
 	pkg := ""
@@ -60,6 +60,8 @@ func ParseGoBench(r io.Reader) ([]Result, error) {
 			switch unit := fields[i+1]; {
 			case unit == "ns/op":
 				res.NsPerOp = v
+			case unit == "MB/s":
+				res.MBPerSec = v
 			case unit == "B/op":
 				res.BytesPerOp = F(v)
 			case unit == "allocs/op":

@@ -68,7 +68,9 @@ func (h Host) Fingerprint() string {
 // AllocsPerOp and BytesPerOp are pointers so a measured zero (the
 // zero-allocation hot paths this package exists to protect) is
 // distinguishable from "not measured" (streambench records, which
-// carry no allocation data).
+// carry no allocation data). MBPerSec is recorded for benchmarks that
+// call b.SetBytes (the checkpoint codec's) and never gated: ns/op
+// already is.
 type Result struct {
 	Op     string  `json:"op"`
 	Kind   string  `json:"kind"`
@@ -87,6 +89,7 @@ type Result struct {
 	TransfersPerOp float64  `json:"transfers_per_op,omitempty"`
 	AllocsPerOp    *float64 `json:"allocs_per_op,omitempty"`
 	BytesPerOp     *float64 `json:"bytes_per_op,omitempty"`
+	MBPerSec       float64  `json:"mb_per_s,omitempty"`
 }
 
 // F boxes a float for the optional metric fields.

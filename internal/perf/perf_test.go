@@ -192,6 +192,7 @@ pkg: repro
 BenchmarkFig2RandomInserts/2-COLA-8         	     100	      5321 ns/op	         0.5000 transfers/op	     128 B/op	       2 allocs/op
 BenchmarkFig2RandomInserts/B-tree-8         	     100	     95321 ns/op	         3.100 transfers/op	    4096 B/op	      11 allocs/op
 BenchmarkShardedSearch/shards=4-8           	     100	       912 ns/op	       0 B/op	       0 allocs/op
+BenchmarkSnapshotEncode/ram-8               	     100	   4569795 ns/op	6282.79 MB/s	       0 B/op	       0 allocs/op
 PASS
 ok  	repro	1.234s
 `
@@ -199,8 +200,11 @@ ok  	repro	1.234s
 	if err != nil {
 		t.Fatalf("ParseGoBench: %v", err)
 	}
-	if len(got) != 3 {
-		t.Fatalf("parsed %d records, want 3: %+v", len(got), got)
+	if len(got) != 4 {
+		t.Fatalf("parsed %d records, want 4: %+v", len(got), got)
+	}
+	if enc := got[3]; enc.MBPerSec != 6282.79 || enc.NsPerOp != 4569795 || *enc.AllocsPerOp != 0 {
+		t.Fatalf("bad SetBytes record: %+v", enc)
 	}
 	first := got[0]
 	if first.Op != "gobench" || first.Kind != "repro:Fig2RandomInserts/2-COLA" {

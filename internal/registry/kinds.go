@@ -285,8 +285,9 @@ func (h *walReplayHandler) ApplyDelete(keys []uint64) {
 // buildDurable opens (or creates) a durable dictionary at the WAL path:
 // restore the checkpoint if one exists — its self-describing header
 // says what to build, overriding a missing WithInner — then replay the
-// log tail, then hand the recovered structure to the durable wrapper.
-// This is the capability-aware corner of Build: the inner kind must be
+// log tail, compact what was recovered if the inner can (see below),
+// then hand the structure to the durable wrapper. This is the
+// capability-aware corner of Build: the inner kind must be
 // snapshot-capable, or checkpoints (and checkpoint-based reopens) would
 // be impossible.
 func buildDurable(c *Config) (core.Dictionary, error) {
@@ -384,6 +385,18 @@ func buildDurable(c *Config) (core.Dictionary, error) {
 	if h.badDeletes {
 		w.Close()
 		return nil, fmt.Errorf("write-ahead log %s contains delete records but inner kind %q does not support deletion", path, innerKind)
+	}
+	// A lookahead array comes back in whatever shape it stopped in, and
+	// what a search costs follows that shape: how many levels are
+	// occupied, and how deep the recent keys sit. A store that went down
+	// just before a large merge reads up to half again as slowly as one
+	// that went down just after it, for as long as it stays up. Recovery
+	// is a sequential pass over the whole structure already; one more
+	// leaves it as a single level, so reads after a restart cost the same
+	// wherever the store stopped (and Len is exact). Only the in-memory
+	// layout changes: the checkpoint and the log stay as they are.
+	if cp, ok := inner.(interface{ Compact() }); ok {
+		cp.Compact()
 	}
 	return durable.New(durable.Options{
 		Inner:           inner,

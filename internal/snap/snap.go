@@ -12,13 +12,20 @@
 // whatever the structure's own core.Snapshotter.WriteTo emitted; the
 // container never interprets it.
 //
-// Decode verifies both checksums before returning, so a structure's
-// ReadFrom only ever sees payload bytes that survived CRC verification
-// — corruption is reported as a typed error here, not as a misparse
-// inside a structure decoder. The cost is that Encode and Decode buffer
-// the payload in memory; snapshots are bounded by the structures
-// themselves (tens of bytes per element), which is the same order as
-// the live structure being saved.
+// Encode holds no copy of the payload when the destination is a file:
+// the structure's WriteTo streams through a running CRC straight to it
+// and the payload length, known only afterwards, is patched in place —
+// a checkpoint is one sequential pass. Other destinations get the same
+// bytes staged in memory first. See Encode.
+//
+// Decode still buffers the payload, and that is deliberate: it verifies
+// both checksums before returning, so a structure's ReadFrom only ever
+// sees payload bytes that survived CRC verification — corruption is
+// reported as a typed error here, not as a misparse inside a structure
+// decoder — and the trailer CRC cannot be checked before the last
+// payload byte has been read. The buffer is the size of the payload
+// (tens of bytes per element), the same order as the structure being
+// restored, and lives only until ReadFrom returns.
 //
 // The format is designed for safe decoding of hostile input: every
 // length field is bounded before use, allocations grow with bytes
@@ -102,20 +109,22 @@ type Spec struct {
 
 // Encode writes one container: the spec as the header, then the
 // payload produced by wt, both CRC-framed. It returns the total bytes
-// written.
+// written. wt.WriteTo is called exactly once.
+//
+// The payload's length precedes it on the wire but is known only after
+// it. When w can overwrite what it has taken (an *os.File not opened
+// for append — what checkpoints and SaveFile pass), the payload streams
+// through a running CRC straight to w behind a placeholder length that
+// Encode overwrites at the end. Until then the file is not a valid
+// container, so its writers rename it into place only after Encode has
+// returned; a failed Encode leaves a torn container behind. Any other w
+// receives the same bytes in one Write once they have been staged in
+// memory, and nothing at all on failure.
 func Encode(w io.Writer, spec *Spec, wt io.WriterTo) (int64, error) {
 	var header bytes.Buffer
 	if err := encodeSpec(&header, spec, 0); err != nil {
 		return 0, err
 	}
-	// The payload is buffered once (its length and checksum precede and
-	// follow it on the wire); everything else streams straight to w, so
-	// peak memory is one payload copy, not two.
-	var payload bytes.Buffer
-	if _, err := wt.WriteTo(&payload); err != nil {
-		return 0, fmt.Errorf("snap: encoding payload: %w", err)
-	}
-
 	var pre bytes.Buffer
 	pre.Grow(len(Magic) + 4 + 4 + header.Len() + 4 + 8)
 	pre.WriteString(Magic)
@@ -123,24 +132,89 @@ func Encode(w io.Writer, spec *Spec, wt io.WriterTo) (int64, error) {
 	putU32(&pre, uint32(header.Len()))
 	pre.Write(header.Bytes())
 	putU32(&pre, crc32.ChecksumIEEE(header.Bytes()))
-	putU64(&pre, uint64(payload.Len()))
+	lenAt := int64(pre.Len())
+	putU64(&pre, 0) // payload length, patched once known
 
-	var n int64
-	for _, part := range [][]byte{pre.Bytes(), payload.Bytes(), crcBytes(payload.Bytes())} {
-		k, err := w.Write(part)
-		n += int64(k)
+	var payloadLen [8]byte
+	if at, base, ok := patchable(w); ok {
+		n, size, err := stream(w, pre.Bytes(), wt)
 		if err != nil {
 			return n, err
 		}
+		binary.LittleEndian.PutUint64(payloadLen[:], uint64(size))
+		if _, err := at.WriteAt(payloadLen[:], base+lenAt); err != nil {
+			return n, fmt.Errorf("snap: patching payload length: %w", err)
+		}
+		return n, nil
 	}
-	return n, nil
+	var staged bytes.Buffer
+	_, size, err := stream(&staged, pre.Bytes(), wt)
+	if err != nil {
+		return 0, err
+	}
+	binary.LittleEndian.PutUint64(payloadLen[:], uint64(size))
+	copy(staged.Bytes()[lenAt:], payloadLen[:])
+	n, err := w.Write(staged.Bytes())
+	return int64(n), err
 }
 
-// crcBytes is the little-endian CRC32 trailer of b.
-func crcBytes(b []byte) []byte {
-	var s [4]byte
-	binary.LittleEndian.PutUint32(s[:], crc32.ChecksumIEEE(b))
-	return s[:]
+// stream writes a container whose payload length is still the
+// placeholder in pre: the preamble, wt's bytes through a running CRC,
+// then the CRC trailer. It returns the bytes written and the payload's
+// size.
+func stream(w io.Writer, pre []byte, wt io.WriterTo) (n, size int64, err error) {
+	k, err := w.Write(pre)
+	n = int64(k)
+	if err != nil {
+		return n, 0, err
+	}
+	cw := crcWriter{w: w}
+	_, err = wt.WriteTo(&cw)
+	n += cw.n
+	if err != nil {
+		return n, cw.n, fmt.Errorf("snap: encoding payload: %w", err)
+	}
+	var sum [4]byte
+	binary.LittleEndian.PutUint32(sum[:], cw.crc)
+	k, err = w.Write(sum[:])
+	return n + int64(k), cw.n, err
+}
+
+// crcWriter forwards to w, counting and checksumming what w accepted.
+type crcWriter struct {
+	w   io.Writer
+	crc uint32
+	n   int64
+}
+
+func (c *crcWriter) Write(b []byte) (int, error) {
+	k, err := c.w.Write(b)
+	c.crc = crc32.Update(c.crc, crc32.IEEETable, b[:k])
+	c.n += int64(k)
+	return k, err
+}
+
+// patchable reports whether w can overwrite bytes it has already taken
+// and, if so, the offset the container will start at. A pipe behind an
+// *os.File cannot seek, and a file opened for append refuses WriteAt
+// (asked here with no bytes, so nothing is written) — better learned
+// now than after the payload.
+func patchable(w io.Writer) (at io.WriterAt, base int64, ok bool) {
+	p, ok := w.(interface {
+		io.Seeker
+		io.WriterAt
+	})
+	if !ok {
+		return nil, 0, false
+	}
+	base, err := p.Seek(0, io.SeekCurrent)
+	if err != nil {
+		return nil, 0, false
+	}
+	if _, err := p.WriteAt(nil, base); err != nil {
+		return nil, 0, false
+	}
+	return p, base, true
 }
 
 // DecodeHeader reads and verifies only the container preamble and

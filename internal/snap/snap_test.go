@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -62,6 +64,160 @@ func TestContainerRoundTrip(t *testing.T) {
 	back, err := io.ReadAll(pr)
 	if err != nil || !bytes.Equal(back, payload) {
 		t.Fatalf("payload mismatch: %q (%v)", back, err)
+	}
+}
+
+// mustClose closes c and fails the test on error (durerr: a dropped
+// Close can hide a failed flush).
+func mustClose(t testing.TB, c io.Closer) {
+	t.Helper()
+	if err := c.Close(); err != nil {
+		t.Errorf("close: %v", err)
+	}
+}
+
+// countedPayload is a WriterTo that writes in several pieces and counts
+// its calls: Encode must run it exactly once per container.
+type countedPayload struct {
+	pieces [][]byte
+	calls  int
+	fail   error // returned after the pieces, if set
+}
+
+func (p *countedPayload) WriteTo(w io.Writer) (int64, error) {
+	p.calls++
+	var n int64
+	for _, piece := range p.pieces {
+		k, err := w.Write(piece)
+		n += int64(k)
+		if err != nil {
+			return n, err
+		}
+	}
+	return n, p.fail
+}
+
+// TestEncodeDestinations: every kind of destination receives the same
+// container bytes from one WriteTo call — a file (length patched in
+// place), a file written from a nonzero offset, and the destinations
+// that cannot be patched and are staged instead: a buffer, a file
+// opened for append, a pipe.
+func TestEncodeDestinations(t *testing.T) {
+	spec := testSpec()
+	pieces := [][]byte{[]byte("first piece "), bytes.Repeat([]byte{0xA5}, 70000), []byte(" last piece")}
+	want := encodeValid(t, spec, bytes.Join(pieces, nil))
+	if _, payload, err := Decode(bytes.NewReader(want)); err != nil || payload.Len() != len(bytes.Join(pieces, nil)) {
+		t.Fatalf("staged container does not decode: %v", err)
+	}
+	dir := t.TempDir()
+	encodeTo := func(t *testing.T, f *os.File) {
+		t.Helper()
+		p := &countedPayload{pieces: pieces}
+		n, err := Encode(f, spec, p)
+		if err != nil || n != int64(len(want)) {
+			t.Fatalf("Encode = (%d, %v), want %d bytes", n, err, len(want))
+		}
+		if p.calls != 1 {
+			t.Fatalf("WriteTo ran %d times, want exactly once", p.calls)
+		}
+	}
+	readBack := func(t *testing.T, path string, skip int) {
+		t.Helper()
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got[skip:], want) {
+			t.Fatalf("destination holds %d bytes that differ from the staged container's %d", len(got)-skip, len(want))
+		}
+	}
+
+	t.Run("file", func(t *testing.T) {
+		path := filepath.Join(dir, "plain")
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mustClose(t, f)
+		encodeTo(t, f)
+		// The patch must not move the file position: a caller may append.
+		if pos, err := f.Seek(0, io.SeekCurrent); err != nil || pos != int64(len(want)) {
+			t.Fatalf("file position after Encode = (%d, %v), want %d", pos, err, len(want))
+		}
+		readBack(t, path, 0)
+	})
+	t.Run("file at an offset", func(t *testing.T) {
+		path := filepath.Join(dir, "offset")
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mustClose(t, f)
+		if _, err := f.WriteString("prefix!"); err != nil {
+			t.Fatal(err)
+		}
+		encodeTo(t, f)
+		readBack(t, path, len("prefix!"))
+	})
+	t.Run("append-mode file", func(t *testing.T) {
+		path := filepath.Join(dir, "append")
+		if err := os.WriteFile(path, []byte("prefix!"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mustClose(t, f)
+		encodeTo(t, f)
+		readBack(t, path, len("prefix!"))
+	})
+	t.Run("pipe", func(t *testing.T) {
+		r, w, err := os.Pipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mustClose(t, r)
+		got := make(chan []byte, 1)
+		go func() {
+			b, _ := io.ReadAll(r)
+			got <- b
+		}()
+		encodeTo(t, w)
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if b := <-got; !bytes.Equal(b, want) {
+			t.Fatalf("pipe carried %d bytes that differ from the staged container's %d", len(b), len(want))
+		}
+	})
+}
+
+// TestEncodeFailedPayload: a WriteTo error surfaces wrapped; a staged
+// destination has then received nothing, and a file no patched length
+// (its container stays invalid).
+func TestEncodeFailedPayload(t *testing.T) {
+	boom := errors.New("boom")
+	p := &countedPayload{pieces: [][]byte{[]byte("partial")}, fail: boom}
+	var buf bytes.Buffer
+	if n, err := Encode(&buf, testSpec(), p); !errors.Is(err, boom) || n != 0 || buf.Len() != 0 {
+		t.Fatalf("staged Encode = (%d, %v) with %d bytes delivered, want (0, boom) and none", n, err, buf.Len())
+	}
+	path := filepath.Join(t.TempDir(), "torn")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mustClose(t, f)
+	if _, err := Encode(f, testSpec(), p); !errors.Is(err, boom) {
+		t.Fatalf("file Encode error = %v, want boom", err)
+	}
+	torn, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Decode(bytes.NewReader(torn)); !errors.Is(err, core.ErrCorrupt) {
+		t.Fatalf("a torn container decodes with %v, want ErrCorrupt", err)
 	}
 }
 
