@@ -360,6 +360,52 @@ func TestOpenCompactsRecoveredStructure(t *testing.T) {
 	}
 }
 
+// TestOpenLeavesOneLevelStructureAlone reopens a store whose checkpoint
+// is a lookahead array that already sits in one level — 1,024 distinct
+// keys, so the last insert's carry merged everything to the bottom; an
+// idle store looks like this too. There is nothing to compact: the open
+// moves no cell, and Len is exact as it stands. One key more and the
+// structure is two levels again, which the next open does compact.
+func TestOpenLeavesOneLevelStructureAlone(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "d.wal")
+	d, err := Open(path, WithInner("gcola"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 1024; i++ {
+		d.Insert(i, i)
+	}
+	if err := d.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	mustClose(t, d)
+
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if moves := r.Stats().Moves; moves != 0 {
+		t.Fatalf("reopening a one-level checkpoint moved %d cells, want 0", moves)
+	}
+	if r.Len() != 1024 {
+		t.Fatalf("recovered Len = %d, want 1024", r.Len())
+	}
+	r.Insert(5000, 1)
+	mustClose(t, r)
+
+	r, err = Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mustClose(t, r)
+	if moves := r.Stats().Moves; moves < 1025 {
+		t.Fatalf("reopening a two-level structure moved %d cells: it was not compacted", moves)
+	}
+	if r.Len() != 1025 {
+		t.Fatalf("recovered Len = %d, want 1025", r.Len())
+	}
+}
+
 // TestOpenSurvivesTornTail drops garbage at the end of the WAL (a crash
 // mid-append) and expects recovery of exactly the intact prefix.
 func TestOpenSurvivesTornTail(t *testing.T) {

@@ -3,6 +3,9 @@ package cola
 import (
 	"bytes"
 	"io"
+	"math/bits"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -94,6 +97,46 @@ func TestSpilledSearchAllocs(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSpilledMergeAllocs extends the allocation contract to the
+// out-of-core write path: once the ladder's slabs and the spill store's
+// run buffers exist, a cascade into a spilled level allocates what
+// opening and committing its files takes — readers, a writer, names,
+// handles — and nothing that grows with the cells it moves. A merge into
+// level t rewrites every spilled level up to t (the target, and the
+// lookahead samples of the levels above it), so the allowance is 2 KiB a
+// level: merges into levels 10 to 15, whose images grow from 36 KiB to
+// over 1 MiB, must all stay inside it.
+func TestSpilledMergeAllocs(t *testing.T) {
+	c := openSpilled(t, Options{Growth: 2, PointerDensity: DefaultPointerDensity})
+	seq := workload.NewRandomUnique(17)
+	insert := func() { k := seq.Next(); c.Insert(k, k) }
+	n := 0
+	for ; n < 1<<15; n++ { // the deepest ladder of the run: every buffer now exists
+		insert()
+	}
+	var ms runtime.MemStats
+	merges := 0
+	for n++; n < 1<<16; n++ {
+		level := bits.TrailingZeros(uint(n)) // distinct keys: the binary counter's carry
+		if level < 10 {
+			insert()
+			continue
+		}
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		insert()
+		runtime.ReadMemStats(&ms)
+		if got, bound := ms.TotalAlloc-before, uint64(level+1)<<11; got > bound {
+			t.Errorf("the merge into level %d (%d cells) allocated %d bytes, want at most %d", level, c.levels[level].used(), got, bound)
+		}
+		merges++
+	}
+	if merges < 31 {
+		t.Fatalf("only %d deep merges measured; the test is on the wrong path", merges)
+	}
+	c.checkInvariants()
 }
 
 // TestInsertAllocsSteadyState asserts that inserts between level-growth
@@ -217,7 +260,8 @@ func TestDeamortizedRangeAllocs(t *testing.T) {
 
 // TestMergeScratchDoesNotAliasLevels guards the scratch ownership rule:
 // after any operation, no level's backing array may alias the merge
-// scratch buffers (installLevel must copy).
+// scratch buffers (a merge's last step writes level storage, and only
+// its last step).
 func TestMergeScratchDoesNotAliasLevels(t *testing.T) {
 	c := New(Options{Growth: 2, PointerDensity: DefaultPointerDensity})
 	seq := workload.NewRandomUnique(13)
@@ -233,8 +277,10 @@ func TestMergeScratchDoesNotAliasLevels(t *testing.T) {
 	}
 	for l := range c.levels {
 		data := c.levels[l].data
-		if aliases(data, c.scratch.ping) || aliases(data, c.scratch.pong) || aliases(data, c.scratch.la) {
-			t.Fatalf("level %d backing array aliases merge scratch", l)
+		for _, slab := range slices.Concat(c.scratch.slabs, [][]entry{c.scratch.la}) {
+			if aliases(data, slab) {
+				t.Fatalf("level %d backing array aliases merge scratch", l)
+			}
 		}
 	}
 	c.checkInvariants()

@@ -74,11 +74,7 @@ func (c *GCOLA) BulkLoad(elems []core.Element) {
 		t++
 	}
 	c.ensureLevel(t)
-	if c.spilledLevel(t) {
-		c.installLevelSpilled(t, out)
-	} else {
-		c.installLevel(t, out)
-	}
+	c.installLevel(t, out)
 	c.chargeWrite(t, c.levels[t].start, len(out))
 	c.stats.Moves += uint64(len(out))
 	c.n = len(out)

@@ -174,25 +174,25 @@ type rangeCursor struct {
 // mergeScratch is the per-tree reusable buffer set. Ownership rules
 // (also documented in DESIGN.md):
 //
-//   - Scratch-backed slices are valid only inside the GCOLA call that
-//     produced them. installLevel copies merge output into level storage
-//     before the call returns, so nothing retains a scratch alias.
-//   - The ladder alternates between ping and pong, so the accumulator
-//     being read and the buffer being written never coincide.
-//   - Buffers only grow; their steady-state capacity is bounded by the
-//     largest merge performed so far (at most the largest level), which
-//     is the price of allocation-free inserts.
+//   - Scratch-backed memory is valid only inside the GCOLA call that
+//     filled it. A merge's last step writes level storage (or the spill
+//     writer's buffer), never scratch, so no level's array is ever a
+//     scratch buffer and nothing retains a scratch alias.
+//   - Every step of a ladder owns its slabs, so the slab a step reads and
+//     the slab it writes never coincide; slabs are mergeSlabCells cells
+//     whatever the levels hold, so a tree's scratch is a few KiB per
+//     level and grows only when a merge is deeper than any before it.
 //   - Only mutation paths (Insert/Delete/Compact) touch the scratch, and
 //     those remain single-threaded; the shared-read path must not —
 //     Range's cursors are pooled per call (see cursorPool) so bracketed
 //     concurrent reads never contend on per-tree state.
 type mergeScratch struct {
-	runs [][]entry // mergeDown/Compact run headers, newest first
-	one  [1]entry  // backing array for the incoming-entry run
+	one [1]entry // backing array for the incoming-entry run
 	//repro:scratch
-	ping []entry // merge-ladder accumulator (alternates with pong)
+	steps []mergeStep // the ladder of the merge in progress, newest run first
 	//repro:scratch
-	pong []entry // merge-ladder accumulator (alternates with ping)
+	slabs [][]entry // handed out in order to the ladder in progress: step outputs, spilled runs' cells
+	nslab int       // slabs handed out so far
 	//repro:scratch
 	la []entry // lookahead sample buffer for distributePointers
 }
@@ -494,41 +494,12 @@ func (c *GCOLA) mergeTarget() int {
 
 // mergeDown merges the new entry and levels 0..t-1 into level t, then
 // redistributes lookahead pointers down from t. Levels 0..t-1 end empty.
+// Level t's own lookahead entries (pointing into level t+1, which is
+// untouched) survive.
 //
 //repro:charges opt.Space (run reads + target write)
 func (c *GCOLA) mergeDown(newEntry entry) {
 	t := c.mergeTarget()
-	if c.spilledLevel(t) {
-		// Out-of-core target: stream the merge instead of materializing
-		// it. Levels below the spill depth are all in RAM (depth >= 1),
-		// so this path and the RAM path below never mix homes.
-		c.mergeDownSpilled(newEntry, t)
-		return
-	}
-	target := &c.levels[t]
-
-	// Gather source runs, newest first: the incoming entry, then levels
-	// 0..t-1 (smaller level = newer), then level t's existing content.
-	// Lookahead entries in levels 0..t-1 are dropped by the merge (their
-	// target levels are being restructured); level t's own lookahead
-	// entries (pointing into level t+1, which is untouched) survive.
-	// Stripping happens in place — those levels are emptied below, so
-	// compacting their occupied windows is safe and allocation-free.
-	c.scratch.one[0] = newEntry
-	runs := append(c.scratch.runs[:0], c.scratch.one[:])
-	for l := 0; l < t; l++ {
-		lv := &c.levels[l]
-		if !lv.empty() {
-			c.chargeRead(l, lv.start, lv.used())
-			runs = append(runs, stripLookaheadInPlace(lv.data[lv.start:]))
-		}
-	}
-	if !target.empty() {
-		runs = append(runs, target.data[target.start:])
-		c.chargeRead(t, target.start, target.used())
-	}
-	c.scratch.runs = runs
-
 	// If level t is the bottom of the structure, tombstones are dropped
 	// once they have annihilated every older copy of their key.
 	atBottom := true
@@ -538,171 +509,125 @@ func (c *GCOLA) mergeDown(newEntry entry) {
 			break
 		}
 	}
+	c.scratch.one[0] = newEntry
+	c.mergeLevels(t, c.scratch.one[:], 0, atBottom)
+}
 
-	out := c.mergeRuns(runs, atBottom)
-
-	// Install right-justified into level t.
-	c.installLevel(t, out)
-	c.chargeWrite(t, target.start, len(out))
-	c.stats.Moves += uint64(len(out))
-
-	// A merge into the bottom-most occupied level sees the entire
-	// structure: tombstones were dropped, lookahead entries cannot exist
-	// in a bottom level, so the output length IS the live-key count.
-	// Setting it authoritatively makes Len exact after any such merge —
-	// not only after Compact — even when duplicate-key updates had
-	// accumulated un-reconciled copies across levels the smaller merges
-	// never brought together.
-	if atBottom {
-		c.n = len(out)
+// mergeLevels is the one merge driver, for both homes: it merges the
+// incoming run (newest; may be empty), every occupied level below t
+// (smaller level = newer) and level t's own cells into level t, empties
+// the levels below t, and redistributes lookahead pointers down from t.
+// Lookahead cells of the levels below t are dropped on the way (their
+// target levels are being restructured); level t's own go by dropTarget.
+// A bottom merge also drops tombstones and, seeing the entire structure,
+// sets the live count authoritatively: with tombstones gone and no
+// lookahead cell possible in a bottom level, the output length IS the
+// live-key count, whatever un-reconciled duplicates smaller merges left.
+//
+// Charges: one range read per non-empty source run, one for the target's
+// old content, one range write for the output — at the same logical
+// cells wherever the levels live.
+//
+//repro:charges opt.Space (run reads + target write)
+func (c *GCOLA) mergeLevels(t int, incoming []entry, dropTarget uint8, atBottom bool) {
+	ladder := &c.scratch
+	ladder.reset()
+	bound := len(incoming)
+	if bound > 0 {
+		ladder.start(incoming)
 	}
-
-	// Empty the consumed levels.
+	for l := 0; l <= t; l++ {
+		lv := &c.levels[l]
+		if lv.empty() {
+			continue
+		}
+		c.chargeRead(l, lv.start, lv.used())
+		drop := dropLookahead
+		if l < t {
+			bound += lv.real
+		} else {
+			bound += lv.used() // in RAM the target's cells are merged in place: see writeLevel
+			drop = dropTarget
+		}
+		if lv.ext != nil {
+			ladder.push(nil, lv.ext.NewReader(0), drop)
+		} else {
+			ladder.push(lv.data[lv.start:], nil, drop)
+		}
+	}
+	var drop uint8
+	if atBottom {
+		drop = dropTombstone
+	}
+	n := c.writeLevel(t, bound, drop)
+	c.chargeWrite(t, c.levels[t].start, n)
+	c.stats.Moves += uint64(n)
+	if atBottom {
+		c.n = n
+	}
 	for l := 0; l < t; l++ {
 		c.clearLevel(l)
 	}
-
 	c.distributePointers(t)
 }
 
-// stripLookaheadInPlace compacts a level's occupied window down to its
-// real and tombstone entries, preserving order, and returns the
-// compacted prefix. The caller must be about to empty the level (the
-// merge path is), since the window's tail is left stale.
-func stripLookaheadInPlace(run []entry) []entry {
-	w := 0
-	for i := range run {
-		if run[i].kind != kindLookahead {
-			if w != i {
-				run[w] = run[i]
-			}
-			w++
-		}
-	}
-	return run[:w]
+// installLevel writes out, a sorted run that no scratch buffer backs,
+// into the empty level l: the ladder of one run.
+//
+//repro:charges caller:distributePointers and BulkLoad charge the level write
+func (c *GCOLA) installLevel(l int, out []entry) {
+	c.scratch.reset()
+	c.scratch.push(out, nil, 0)
+	c.writeLevel(l, len(out), 0)
+	clear(c.scratch.steps) // out is the caller's: a bulk load's run must not stay reachable from here
 }
 
-// installLevel writes out right-justified into level l, recomputes the
-// real-entry count and the left copies (each cell's copy of the closest
-// lookahead pointer at or to its left). RAM levels only; spilled levels
-// install through installLevelSpilled / streamMergeInto.
+// writeLevel runs the scratch ladder into level l's storage — the last
+// step's output buffer — and returns the number of cells written; bound
+// is the most it can be, drop the kinds of cells left out. Occupancy, the
+// counts and the live count's correction come from the steps' running
+// state: there is no pass over the finished run.
+// In RAM the output goes straight into the level's array from cell
+// cells-bound on, right-justified as it stands unless cells were dropped
+// on the way (a duplicate, a tombstone, a lookahead cell of the target
+// itself); then it is moved up by that many. The level's old cells are
+// the oldest run, read from where they are: they sit at the end of the
+// array and bound counts every one, so the output could only reach a
+// cell not yet read by writing more newer cells than there are — and a
+// step is handed nothing from above but cells that are written (see
+// push). On disk see writeSpilledLevel.
 //
-//repro:charges caller:mergeDown and Compact charge the target write
-func (c *GCOLA) installLevel(l int, out []entry) {
+//repro:charges caller:mergeLevels charges the target write, installLevel's callers theirs
+func (c *GCOLA) writeLevel(l, bound int, drop uint8) int {
 	lv := &c.levels[l]
-	if len(out) > len(lv.data) {
+	if bound > lv.cells {
 		panic("cola: merge output exceeds level capacity")
 	}
-	start := len(lv.data) - len(out)
-	copy(lv.data[start:], out)
-	lv.start = start
-	lv.real = 0
-	lv.la = 0
-	last := int32(-1)
-	for i := start; i < len(lv.data); i++ {
-		e := &lv.data[i]
-		if e.kind == kindLookahead {
-			last = e.ptr
-			e.left = e.ptr
-			lv.la++
-		} else {
-			lv.real++
-			e.left = last
+	last := c.scratch.lastStep(drop)
+	st := &c.scratch.steps[last]
+	n := 0
+	if !c.spilledLevel(l) {
+		from := lv.cells - bound
+		st.buf = lv.data[from:]
+		c.scratch.refill(last)
+		if n = len(st.out); n < bound {
+			copy(lv.data[lv.cells-n:], lv.data[from:from+n])
 		}
+	} else {
+		n = c.writeSpilledLevel(l, last)
 	}
-}
-
-// mergeRuns performs a k-way merge of runs (ordered newest first) with
-// newest-wins semantics for duplicate keys, as the paper's iterative
-// two-smallest-at-a-time pattern: because run sizes grow geometrically,
-// the ladder costs O(k) element moves for k items in total. Each rung
-// writes into one of the two scratch accumulators, alternating, so the
-// whole ladder reuses capacity instead of allocating per rung; the
-// returned slice aliases scratch (or runs[0] when there is nothing to
-// merge) and must be copied out before the next merge.
-//
-//repro:allow scratchescape caller installs the returned run via installLevel before the next merge reuses scratch
-func (c *GCOLA) mergeRuns(runs [][]entry, atBottom bool) []entry {
-	if len(runs) == 0 {
-		return nil
-	}
-	acc := runs[0]
-	cur, next := &c.scratch.ping, &c.scratch.pong
-	for _, older := range runs[1:] {
-		*cur = c.mergeTwoInto((*cur)[:0], acc, older)
-		acc = *cur
-		cur, next = next, cur
-	}
-	if atBottom {
-		w := 0
-		for _, e := range acc {
-			if e.kind == kindTombstone {
-				continue
-			}
-			acc[w] = e
-			w++
-		}
-		acc = acc[:w]
-	}
-	return acc
-}
-
-// mergeTwoInto merges newer over older, appending to out (which must
-// not alias either input). Resolution for equal real keys:
-//
-//   - newer real over older real: update; the older copy is dropped and
-//     the live count shrinks by one (Insert counted both copies).
-//   - newer tombstone over older real: annihilation; the tombstone is
-//     retained for still-older levels (Delete already adjusted the
-//     count).
-//   - real over tombstone (re-insert after delete) and tombstone over
-//     tombstone: the older entry is simply dropped.
-//
-// Lookahead entries pass through untouched; only one input run ever
-// carries them (the preserved target run).
-func (c *GCOLA) mergeTwoInto(out, newer, older []entry) []entry {
-	if need := len(out) + len(newer) + len(older); cap(out) < need {
-		grown := make([]entry, len(out), need)
-		copy(grown, out)
-		out = grown
-	}
-	i, j := 0, 0
-	for i < len(newer) && j < len(older) {
-		a, b := newer[i], older[j]
-		switch {
-		case a.key < b.key:
-			out = append(out, a)
-			i++
-		case a.key > b.key:
-			out = append(out, b)
-			j++
-		default: // equal keys
-			if a.kind == kindLookahead {
-				out = append(out, a)
-				i++
-				continue
-			}
-			if b.kind == kindLookahead {
-				out = append(out, b)
-				j++
-				continue
-			}
-			// Both real/tombstone: newer wins, older dropped.
-			out = append(out, a)
-			i++
-			j++
-			if a.kind != kindTombstone && b.kind != kindTombstone {
-				c.n-- // duplicate insert reconciled
-			}
-		}
-	}
-	out = append(out, newer[i:]...)
-	out = append(out, older[j:]...)
-	return out
+	lv.start = lv.cells - n
+	lv.la = st.la
+	lv.real = n - lv.la
+	c.n -= c.scratch.release()
+	return n
 }
 
 // Compact merges every level into a single level, dropping tombstones and
-// duplicates, after which Len is exact for any preceding workload.
+// duplicates, after which Len is exact for any preceding workload. A
+// structure that already is what Compact would leave — as after a bottom
+// merge or a bulk load, so what an idle durable store reopens to — is
+// left as it stands.
 //
 //repro:charges opt.Space (level reads + bottom write)
 func (c *GCOLA) Compact() {
@@ -715,7 +640,7 @@ func (c *GCOLA) Compact() {
 			bottom = l
 		}
 	}
-	if bottom < 0 {
+	if bottom < 0 || c.compacted(bottom, totalReal) {
 		return
 	}
 	t := bottom
@@ -723,30 +648,23 @@ func (c *GCOLA) Compact() {
 		t++
 	}
 	c.ensureLevel(t)
-	if c.spilledLevel(t) {
-		// Any spilled source implies a spilled target (sources are at or
-		// above bottom <= t), so this branch covers every out-of-core
-		// compaction.
-		c.compactSpilled(t, bottom)
-		return
-	}
+	// The target's own lookahead cells go too: pointers are rebuilt after.
+	c.mergeLevels(t, nil, dropLookahead, true)
+}
 
-	runs := c.scratch.runs[:0]
-	for l := 0; l <= bottom; l++ {
-		lv := &c.levels[l]
-		if !lv.empty() {
-			c.chargeRead(l, lv.start, lv.used())
-			runs = append(runs, stripLookaheadInPlace(lv.data[lv.start:]))
+// compacted reports whether the structure, whose deepest occupied level
+// is bottom, is one level already: every real cell in the bottom level,
+// exactly pointer distribution's samples above it. Such a level is by
+// construction a bottom merge's output — no tombstone, no lookahead cell
+// of its own, the live count its size; what can be checked of that is.
+func (c *GCOLA) compacted(bottom, totalReal int) bool {
+	if lv := &c.levels[bottom]; lv.real != totalReal || lv.la != 0 || c.n != lv.real {
+		return false
+	}
+	for l := bottom - 1; l >= 1; l-- {
+		if _, samples := c.lookaheadSamples(l); c.levels[l].la != samples {
+			return false
 		}
 	}
-	c.scratch.runs = runs
-	out := c.mergeRuns(runs, true)
-	for l := 0; l <= bottom; l++ {
-		c.clearLevel(l)
-	}
-	c.installLevel(t, out)
-	c.chargeWrite(t, c.levels[t].start, len(out))
-	c.stats.Moves += uint64(len(out))
-	c.n = len(out)
-	c.distributePointers(t)
+	return c.levels[0].empty()
 }

@@ -3,6 +3,7 @@ package cola
 import (
 	"testing"
 
+	"repro/internal/dam"
 	"repro/internal/workload"
 )
 
@@ -106,4 +107,64 @@ func TestLenDeleteReinsertAcrossMerges(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", c.Len(), want)
 	}
 	c.checkInvariants()
+}
+
+// TestCompactLeavesOneLevelAlone pins Compact's early return: a structure
+// that a bottom merge just left in one level (with its lookahead samples
+// above) is not rewritten — no move, no charge, no spill I/O — in RAM or
+// spilled, while anything short of that state still takes the full merge
+// and comes out the same.
+func TestCompactLeavesOneLevelAlone(t *testing.T) {
+	for _, spilled := range []bool{false, true} {
+		store := dam.NewStore(4096, 1<<15)
+		opt := Options{Growth: 2, PointerDensity: DefaultPointerDensity, Space: store.Space("cola")}
+		var c *GCOLA
+		if spilled {
+			c = openSpilled(t, opt)
+		} else {
+			c = New(opt)
+		}
+		for i := uint64(0); i < 1024; i++ { // 2^10: the last carry reaches the bottom
+			c.Insert(i*3, i)
+		}
+		c.checkInvariants()
+		if !c.compacted(10, 1024) {
+			t.Fatalf("spilled=%v: 1024 distinct keys did not end in one level", spilled)
+		}
+		moves, transfers := c.Stats().Moves, store.Transfers()
+		reads, writes := c.ActualTransfers()
+		c.Compact()
+		if r, w := c.ActualTransfers(); c.Stats().Moves != moves || store.Transfers() != transfers || r != reads || w != writes {
+			t.Fatalf("spilled=%v: Compact of a one-level structure moved %d cells, charged %d transfers, did %d+%d chunk I/Os",
+				spilled, c.Stats().Moves-moves, store.Transfers()-transfers, r-reads, w-writes)
+		}
+
+		// A wrong live count, a missing row of samples, a second occupied
+		// level: each one takes the full merge, which leaves one level
+		// again with the count put right.
+		want := 1024
+		for _, spoil := range []struct {
+			name string
+			do   func()
+		}{
+			{"live count off", func() { c.n += 7 }},
+			{"samples missing", func() { c.clearLevel(6) }},
+			{"a key in level zero", func() { c.Insert(1, 1); want++ }},
+		} {
+			spoil.do()
+			before := c.Stats().Moves
+			c.Compact()
+			if c.Stats().Moves == before {
+				t.Fatalf("spilled=%v, %s: Compact returned early", spilled, spoil.name)
+			}
+			c.checkInvariants()
+			bottom := len(c.levels) - 1
+			for c.levels[bottom].empty() {
+				bottom--
+			}
+			if c.Len() != want || !c.compacted(bottom, want) {
+				t.Fatalf("spilled=%v, %s: after the full merge Len = %d, want %d in one level", spilled, spoil.name, c.Len(), want)
+			}
+		}
+	}
 }

@@ -1,6 +1,11 @@
 package cola
 
-import "repro/internal/extmem"
+import (
+	"encoding/binary"
+	"fmt"
+
+	"repro/internal/extmem"
+)
 
 // distributePointers rebuilds the lookahead entries of every level below
 // t after a merge into t, proceeding level by level exactly as Section 4
@@ -27,15 +32,11 @@ func (c *GCOLA) distributePointers(t int) {
 			// anything else indicates a bookkeeping bug.
 			panic("cola: pointer distribution into non-empty level")
 		}
-		budget := c.lookaheadCapacity(l)
-		if budget == 0 || src.empty() {
+		stride, samples := c.lookaheadSamples(l)
+		if samples == 0 {
 			continue
 		}
 		used := src.used()
-		stride := (used + budget - 1) / budget
-		if stride < 1 {
-			stride = 1
-		}
 		// Scan the source level (charged as one range read) and emit a
 		// sample every stride cells, preferring real cells so pointers
 		// land on searchable keys; a lookahead cell is still a valid
@@ -44,40 +45,53 @@ func (c *GCOLA) distributePointers(t int) {
 		// counted chunk reads that stay out of the page cache.
 		c.chargeRead(l+1, src.start, used)
 		out := c.scratch.la[:0]
-		if cap(out) < budget {
-			out = make([]entry, 0, budget)
+		if cap(out) < samples {
+			out = make([]entry, 0, samples)
 		}
 		var rd *extmem.Reader
 		if src.ext != nil {
 			rd = src.ext.NewReader(0)
+			rd.Limit(samples * stride) // the last sample ends the pass
 		}
-		for i := src.start + stride - 1; i < src.cells; i += stride {
-			var e entry
+		for i := src.start + stride - 1; len(out) < samples; i += stride {
+			var key uint64
 			if rd == nil {
-				e = src.data[i]
+				key = src.data[i].key
 			} else {
 				rd.Skip(stride - 1)
-				e = nextSpilledCell(rd)
+				raw, err := rd.NextSlab(1)
+				if err != nil {
+					panic(fmt.Sprintf("cola: spilled sequential read: %v", err))
+				}
+				key = binary.LittleEndian.Uint64(raw)
 			}
 			out = append(out, entry{
-				key:  e.key,
+				key:  key,
 				ptr:  int32(i),
 				left: int32(i),
 				kind: kindLookahead,
 			})
-			if len(out) == budget {
-				break
-			}
 		}
-		if c.spilledLevel(l) {
-			c.installLevelSpilled(l, out)
-		} else {
-			c.installLevel(l, out)
+		if rd != nil {
+			rd.Close()
 		}
+		c.installLevel(l, out)
 		c.chargeWrite(l, dst.start, len(out))
 		c.stats.Moves += uint64(len(out))
 		c.scratch.la = out[:0]
 	}
+}
+
+// lookaheadSamples is the geometry of level l's lookahead cells: level
+// l+1 is sampled every stride cells, as often as level l's redundant
+// budget allows — not at all without a budget or anything to sample.
+func (c *GCOLA) lookaheadSamples(l int) (stride, samples int) {
+	budget, used := c.lookaheadCapacity(l), c.levels[l+1].used()
+	if budget == 0 || used == 0 {
+		return 0, 0
+	}
+	stride = (used + budget - 1) / budget
+	return stride, min(budget, used/stride)
 }
 
 // checkInvariants validates the structural invariants of every level and

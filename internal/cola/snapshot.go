@@ -176,17 +176,21 @@ func (c *GCOLA) WriteTo(w io.Writer) (int64, error) {
 			rd := lv.ext.NewReader(0)
 			for rd.Remaining() > 0 {
 				if b, err = sw.room(entryBytes); err != nil {
-					return sw.n, err
+					break
 				}
-				k := min(len(b)/entryBytes, rd.Remaining())
-				raw := slab.raw[:k*extmem.CellBytes]
-				if err := rd.Next(raw); err != nil {
-					return sw.n, fmt.Errorf("cola: level %d spilled snapshot read: %w", l, err)
+				var raw []byte
+				if raw, err = rd.NextSlab(len(b) / entryBytes); err != nil {
+					err = fmt.Errorf("cola: level %d spilled snapshot read: %w", l, err)
+					break
 				}
+				sw.fill += len(raw) / extmem.CellBytes * entryBytes
 				for ; len(raw) > 0; raw, b = raw[extmem.CellBytes:], b[entryBytes:] {
 					copy(b[:entryBytes], raw)
 				}
-				sw.fill += k * entryBytes
+			}
+			rd.Close()
+			if err != nil {
+				return sw.n, err
 			}
 			continue
 		}

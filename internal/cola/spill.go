@@ -9,11 +9,12 @@ package cola
 //     order, so predicted transfer counts do not depend on where a
 //     level lives and the spill store's actual-I/O counters can be read
 //     against the unchanged prediction.
-//   - Merges remain sequential streams. A spilled merge never
-//     materializes a spilled level in RAM: sources are read through
-//     extmem.Reader, the output goes through an extmem.LevelWriter, and
-//     only the sub-spill-depth RAM prefix (a geometrically negligible
-//     fraction of the data) is merged by the in-RAM ladder first.
+//   - Merges remain sequential streams, through the one merge of both
+//     homes (merge.go). A spilled level is never materialized in RAM: a
+//     source's cells are decoded a slab at a time out of an extmem.Reader's
+//     run of chunks, a target's encoded into an extmem.LevelWriter's. The
+//     slabs are the tree's and the runs of chunks the spill store's, so a
+//     merge allocates nothing that grows with the levels it moves.
 //
 // I/O failures on the read and merge paths panic with the typed extmem
 // error inside: core.Dictionary has no error returns, and a torn spill
@@ -279,332 +280,44 @@ func (c *GCOLA) clearLevel(l int) {
 	}
 }
 
-// installLevelSpilled is installLevel for a spilled, currently-empty
-// level: it streams out (right-justified by construction — file cell j
-// is logical cell start+j) into a fresh level image, recomputing left
-// copies and the occupancy counters exactly as installLevel does.
-//
-//repro:charges caller:distributePointers and BulkLoad charge the level write
-func (c *GCOLA) installLevelSpilled(l int, out []entry) {
-	lv := &c.levels[l]
-	if len(out) > lv.cells {
-		panic("cola: merge output exceeds level capacity")
-	}
-	if lv.ext != nil {
-		panic("cola: installLevelSpilled over an existing image")
-	}
-	if len(out) == 0 {
-		return
-	}
+// writeSpilledLevel is writeLevel's out-of-core half: it encodes the last
+// step's output, slab by slab, into the run buffer of a fresh image of
+// level l (right-justified by construction — file cell j is logical cell
+// start+j) and returns the number of cells written. The level's old
+// image is read through its own Reader meanwhile; the new one replaces it
+// on Commit — the classic LSM-style level rewrite. Any failure, the
+// sources' reads included, aborts the image before the panic leaves; a
+// merge that annihilates everything leaves the level without one.
+func (c *GCOLA) writeSpilledLevel(l, last int) int {
 	w, err := c.ext.NewLevelWriter(l)
 	if err != nil {
 		panic(fmt.Sprintf("cola: level %d spill writer: %v", l, err))
 	}
-	real, la := 0, 0
-	last := int32(-1)
-	var raw [extmem.CellBytes]byte
-	for _, e := range out {
-		if e.kind == kindLookahead {
-			last = e.ptr
-			e.left = e.ptr
-			la++
-		} else {
-			e.left = last
-			real++
+	defer w.Abort() // a no-op once committed
+	n := 0
+	for c.scratch.refill(last) {
+		cells := c.scratch.steps[last].out
+		n += len(cells)
+		for len(cells) > 0 {
+			room := w.Room()
+			k := min(len(cells), len(room)/extmem.CellBytes)
+			for i, e := range cells[:k] {
+				encodeCell((*[extmem.CellBytes]byte)(room[i*extmem.CellBytes:]), e)
+			}
+			if err := w.Fill(k); err != nil {
+				panic(fmt.Sprintf("cola: level %d spill write: %v", l, err))
+			}
+			cells = cells[k:]
 		}
-		encodeCell(&raw, e)
-		if err := w.Append(raw[:]); err != nil {
-			w.Abort()
-			panic(fmt.Sprintf("cola: level %d spill write: %v", l, err))
-		}
+	}
+	if n == 0 {
+		c.clearLevel(l)
+		return 0
 	}
 	img, err := w.Commit()
 	if err != nil {
 		panic(fmt.Sprintf("cola: level %d spill commit: %v", l, err))
 	}
-	lv.ext = img
-	lv.start = lv.cells - len(out)
-	lv.real = real
-	lv.la = la
-}
-
-// spillCursor streams one spilled source run during an out-of-core
-// merge, optionally dropping lookahead entries on the fly (the
-// streaming analogue of stripLookaheadInPlace).
-type spillCursor struct {
-	rd     *extmem.Reader
-	cur    entry
-	ok     bool
-	skipLA bool
-}
-
-func newSpillCursor(img *extmem.Level, skipLA bool) spillCursor {
-	sc := spillCursor{rd: img.NewReader(0), skipLA: skipLA}
-	sc.advance()
-	return sc
-}
-
-// nextSpilledCell decodes the next cell of a sequential pass.
-func nextSpilledCell(rd *extmem.Reader) entry {
-	var raw [extmem.CellBytes]byte
-	if err := rd.Next(raw[:]); err != nil {
-		panic(fmt.Sprintf("cola: spilled sequential read: %v", err))
-	}
-	return decodeCell(&raw)
-}
-
-func (sc *spillCursor) advance() {
-	for sc.rd.Remaining() > 0 {
-		e := nextSpilledCell(sc.rd)
-		if sc.skipLA && e.kind == kindLookahead {
-			continue
-		}
-		sc.cur, sc.ok = e, true
-		return
-	}
-	sc.ok = false
-}
-
-// mergeDownSpilled is mergeDown's out-of-core path, taken when the
-// merge target t is a spilled level. The incoming entry and the RAM
-// levels (all below the spill depth) are merged by the in-RAM ladder
-// first — keeping tombstones, since annihilation against the spilled
-// runs happens downstream — and the accumulator is then streamed
-// against the spilled source levels and the target's existing image in
-// one sequential k-way pass whose output goes straight to a new level
-// image. Charges mirror mergeDown's exactly: one range read per
-// non-empty source run, one range read for the target's old content,
-// one range write for the installed output.
-//
-//repro:charges opt.Space (run reads + target write)
-func (c *GCOLA) mergeDownSpilled(newEntry entry, t int) {
-	target := &c.levels[t]
-
-	ramTop := t
-	if c.opt.SpillDepth < ramTop {
-		ramTop = c.opt.SpillDepth
-	}
-	c.scratch.one[0] = newEntry
-	runs := append(c.scratch.runs[:0], c.scratch.one[:])
-	for l := 0; l < ramTop; l++ {
-		lv := &c.levels[l]
-		if !lv.empty() {
-			c.chargeRead(l, lv.start, lv.used())
-			runs = append(runs, stripLookaheadInPlace(lv.data[lv.start:]))
-		}
-	}
-	c.scratch.runs = runs
-	acc := c.mergeRuns(runs, false)
-
-	atBottom := true
-	for l := t + 1; l < len(c.levels); l++ {
-		if !c.levels[l].empty() {
-			atBottom = false
-			break
-		}
-	}
-
-	// Spilled cursors, newest (smallest level) first: source levels drop
-	// their lookahead entries on the fly, the target's own image keeps
-	// them (they point into level t+1, which is untouched) — the same
-	// split mergeDown makes for RAM runs.
-	cursors := make([]spillCursor, 0, t-ramTop+1)
-	for l := ramTop; l < t; l++ {
-		lv := &c.levels[l]
-		if !lv.empty() {
-			c.chargeRead(l, lv.start, lv.used())
-			cursors = append(cursors, newSpillCursor(lv.ext, true))
-		}
-	}
-	if !target.empty() {
-		c.chargeRead(t, target.start, target.used())
-		cursors = append(cursors, newSpillCursor(target.ext, false))
-	}
-
-	outLen := c.streamMergeInto(t, acc, cursors, atBottom)
-	c.chargeWrite(t, target.start, outLen)
-	c.stats.Moves += uint64(outLen)
-	if atBottom {
-		c.n = outLen
-	}
-	for l := 0; l < t; l++ {
-		c.clearLevel(l)
-	}
-	c.distributePointers(t)
-}
-
-// compactSpilled is Compact's out-of-core tail: the same stream shape
-// as mergeDownSpilled, except that every level — including the target's
-// own content — is a lookahead-stripped source (Compact rebuilds all
-// pointers afterwards) and the merge is always a bottom merge.
-//
-//repro:charges opt.Space (level reads + bottom write)
-func (c *GCOLA) compactSpilled(t, bottom int) {
-	ramTop := bottom + 1
-	if c.opt.SpillDepth < ramTop {
-		ramTop = c.opt.SpillDepth
-	}
-	runs := c.scratch.runs[:0]
-	for l := 0; l < ramTop; l++ {
-		lv := &c.levels[l]
-		if !lv.empty() {
-			c.chargeRead(l, lv.start, lv.used())
-			runs = append(runs, stripLookaheadInPlace(lv.data[lv.start:]))
-		}
-	}
-	c.scratch.runs = runs
-	var acc []entry
-	if len(runs) > 0 {
-		acc = c.mergeRuns(runs, false)
-	}
-	cursors := make([]spillCursor, 0, bottom-ramTop+1)
-	for l := ramTop; l <= bottom; l++ {
-		lv := &c.levels[l]
-		if !lv.empty() {
-			c.chargeRead(l, lv.start, lv.used())
-			cursors = append(cursors, newSpillCursor(lv.ext, true))
-		}
-	}
-	outLen := c.streamMergeInto(t, acc, cursors, true)
-	for l := 0; l <= bottom; l++ {
-		if l != t {
-			c.clearLevel(l)
-		}
-	}
-	c.chargeWrite(t, c.levels[t].start, outLen)
-	c.stats.Moves += uint64(outLen)
-	c.n = outLen
-	c.distributePointers(t)
-}
-
-// streamMergeInto k-way-merges acc (the newest run, produced by the
-// in-RAM ladder and therefore lookahead-free and duplicate-free) with
-// the spilled cursors (ordered newest first) into a fresh image of
-// level t, applying the ladder's resolution rules in streaming form:
-// lookahead entries pass through ahead of the real resolution for their
-// key, the newest real/tombstone entry survives, each annihilated older
-// real decrements the live count when the survivor is real (the
-// mergeTwoInto reconciliation), and a bottom merge drops tombstones at
-// emit time. Left copies and occupancy counters are recomputed inline
-// (the installLevel forward scan), the target's metadata is updated in
-// place, and the output length is returned.
-//
-// The target reads its own old image while the writer streams the new
-// one: extmem writes to a temp file and swaps on Commit, so this is the
-// classic LSM-style level rewrite, safe by construction.
-func (c *GCOLA) streamMergeInto(t int, acc []entry, cursors []spillCursor, atBottom bool) int {
-	lv := &c.levels[t]
-	w, err := c.ext.NewLevelWriter(t)
-	if err != nil {
-		panic(fmt.Sprintf("cola: level %d spill writer: %v", t, err))
-	}
-	outLen, real, la := 0, 0, 0
-	last := int32(-1)
-	var raw [extmem.CellBytes]byte
-	emit := func(e entry) {
-		if atBottom && e.kind == kindTombstone {
-			return
-		}
-		if e.kind == kindLookahead {
-			last = e.ptr
-			e.left = e.ptr
-			la++
-		} else {
-			e.left = last
-			real++
-		}
-		encodeCell(&raw, e)
-		if err := w.Append(raw[:]); err != nil {
-			w.Abort()
-			panic(fmt.Sprintf("cola: level %d spill write: %v", t, err))
-		}
-		outLen++
-	}
-	accPos := 0
-	for {
-		var minKey uint64
-		any := false
-		if accPos < len(acc) {
-			minKey, any = acc[accPos].key, true
-		}
-		for i := range cursors {
-			if cursors[i].ok && (!any || cursors[i].cur.key < minKey) {
-				minKey, any = cursors[i].cur.key, true
-			}
-		}
-		if !any {
-			break
-		}
-		// A lookahead entry at the head of a cursor passes through before
-		// the real resolution for its key, exactly as mergeTwoInto emits
-		// it; only the preserved target run ever carries them.
-		emittedLA := false
-		for i := range cursors {
-			if cursors[i].ok && cursors[i].cur.key == minKey && cursors[i].cur.kind == kindLookahead {
-				emit(cursors[i].cur)
-				cursors[i].advance()
-				emittedLA = true
-				break
-			}
-		}
-		if emittedLA {
-			continue
-		}
-		// The newest real/tombstone entry for minKey survives (acc is
-		// newest; cursors are ordered newest first)...
-		var surv entry
-		if accPos < len(acc) && acc[accPos].key == minKey {
-			surv = acc[accPos]
-			accPos++
-		} else {
-			for i := range cursors {
-				if cursors[i].ok && cursors[i].cur.key == minKey {
-					surv = cursors[i].cur
-					cursors[i].advance()
-					break
-				}
-			}
-		}
-		emit(surv)
-		// ...and annihilates every older copy; trailing lookahead entries
-		// at the same key still pass through.
-		for i := range cursors {
-			for cursors[i].ok && cursors[i].cur.key == minKey {
-				e := cursors[i].cur
-				if e.kind == kindLookahead {
-					emit(e)
-				} else if surv.kind != kindTombstone && e.kind != kindTombstone {
-					c.n-- // duplicate insert reconciled
-				}
-				cursors[i].advance()
-			}
-		}
-	}
-	if outLen > lv.cells {
-		w.Abort()
-		panic("cola: merge output exceeds level capacity")
-	}
-	if outLen == 0 {
-		// Everything annihilated (a bottom merge of tombstones against
-		// their keys): the level ends empty, no image.
-		w.Abort()
-		if lv.ext != nil {
-			if err := c.ext.RemoveLevel(t); err != nil {
-				panic(fmt.Sprintf("cola: removing level %d spill image: %v", t, err))
-			}
-			lv.ext = nil
-		}
-		lv.start = lv.cells
-		lv.real, lv.la = 0, 0
-		return 0
-	}
-	img, err := w.Commit()
-	if err != nil {
-		panic(fmt.Sprintf("cola: level %d spill commit: %v", t, err))
-	}
-	lv.ext = img
-	lv.start = lv.cells - outLen
-	lv.real = real
-	lv.la = la
-	return outLen
+	c.levels[l].ext = img
+	return n
 }

@@ -201,9 +201,9 @@ func craftedTwins(t *testing.T) (ram, sp *GCOLA, ramStore, spStore *dam.Store) {
 	ram.installLevel(10, upper)
 	ram.installLevel(9, lower)
 	ram.installLevel(8, top)
-	sp.installLevelSpilled(10, upper)
-	sp.installLevelSpilled(9, lower)
-	sp.installLevelSpilled(8, top)
+	sp.installLevel(10, upper)
+	sp.installLevel(9, lower)
+	sp.installLevel(8, top)
 	return ram, sp, ramStore, spStore
 }
 

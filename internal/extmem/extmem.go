@@ -20,11 +20,13 @@
 //     I/O. The cache is one lock-striped structure used identically
 //     inside and outside shared-read epochs: whoever misses, fills.
 //   - Sequential passes (the merge ladder, pointer distribution,
-//     snapshot serialization) use Reader/LevelWriter, which stream
-//     whole chunks through private buffers — counted, but deliberately
-//     NOT cached, so a single big merge cannot evict the read path's
-//     working set (scan resistance; levels are written once and never
-//     updated in place, so there is no dirty/writeback state at all).
+//     snapshot serialization) use Reader/LevelWriter, which move a run
+//     of runChunks chunks per pread/pwrite through buffers the Store
+//     owns and recycles — counted chunk by chunk whatever the run
+//     length, but deliberately NOT cached, so a single big merge cannot
+//     evict the read path's working set (scan resistance; levels are
+//     written once and never updated in place, so there is no
+//     dirty/writeback state at all).
 //
 // Concurrency: like dam.Store, a Store is single-threaded for
 // everything that changes which levels exist (NewLevelWriter, Commit,
@@ -108,6 +110,15 @@ type Config struct {
 	CacheBytes int64
 }
 
+// runChunks is how many consecutive chunks a Reader or LevelWriter moves
+// per pread/pwrite: 64 KiB at the default chunk size, past which a
+// sequential pass is no longer syscall-bound. maxFreeRuns caps the idle
+// run buffers a store keeps, so it never owns more than 1 MiB of them.
+const (
+	runChunks   = 16
+	maxFreeRuns = 16
+)
+
 // setWays is the target number of pages per cache set. A set is both
 // the associativity unit (a chunk may live only in the set its key
 // hashes to, found by scanning the set's tags) and the lock stripe, so
@@ -165,6 +176,9 @@ type Store struct {
 	// sharedDepth counts open shared-read brackets; while it is positive
 	// every mutating entry point panics.
 	sharedDepth atomic.Int64
+
+	// freeRuns holds idle run buffers (Readers open and close in epochs).
+	freeRuns chan []byte
 }
 
 // Level is the file-backed occupied window of one COLA level: Cells()
@@ -203,6 +217,7 @@ func Open(cfg Config) (*Store, error) {
 		cellsPerChunk: chunk / CellBytes,
 		capacity:      capacity,
 		levels:        make(map[int]*Level),
+		freeRuns:      make(chan []byte, maxFreeRuns),
 	}
 	// The largest power-of-two set count that leaves every set at least
 	// setWays pages; the capacity pages are dealt out as evenly as they
@@ -258,6 +273,24 @@ func (s *Store) cacheCounts() (hits, reads uint64) {
 		st.mu.Unlock()
 	}
 	return hits, reads
+}
+
+// getRun hands out a run buffer, idle or new; putRun takes it back, or
+// drops it when maxFreeRuns are idle already.
+func (s *Store) getRun() []byte {
+	select {
+	case buf := <-s.freeRuns:
+		return buf
+	default:
+		return make([]byte, runChunks*s.chunkBytes)
+	}
+}
+
+func (s *Store) putRun(buf []byte) {
+	select {
+	case s.freeRuns <- buf:
+	default:
+	}
 }
 
 // ChunkReads reports aligned chunk reads performed so far (cache misses
@@ -425,7 +458,7 @@ func (s *Store) copyFromChunk(l *Level, chunk, off int, dst []byte) error {
 	}
 	st.mu.Unlock()
 
-	err := l.readChunk(chunk, fill.buf)
+	_, err := l.readRun(chunk, fill.buf)
 	if err == nil {
 		copy(dst, fill.buf[off:])
 	}
@@ -474,18 +507,22 @@ func (st *cacheSet) lru() *page {
 	return best
 }
 
-// readChunk preads one whole aligned chunk into buf; anything less is a
-// typed failure.
-func (l *Level) readChunk(chunk int, buf []byte) error {
+// readRun preads as many whole aligned chunks as buf holds (and the level
+// has), starting at chunk first, and reports how many arrived whole. A
+// read that ends early still delivers the chunks ahead of the break; it
+// fails when the first chunk is the one not wholly read, so the typed
+// error names that chunk with its own byte counts, never the run's.
+func (l *Level) readRun(first int, buf []byte) (int, error) {
 	want := l.s.chunkBytes
-	got, err := l.f.ReadAt(buf[:want], int64(chunk)*int64(want))
-	if got == want {
-		return nil
+	n := min(len(buf)/want, l.chunks-first)
+	got, err := l.f.ReadAt(buf[:n*want], int64(first)*int64(want))
+	if got >= want {
+		return got / want, nil
 	}
-	if err != nil && err != io.EOF {
-		return &ReadError{Path: l.path, Chunk: chunk, Got: got, Want: want, Err: err}
+	if err == io.EOF {
+		err = nil
 	}
-	return &ReadError{Path: l.path, Chunk: chunk, Got: got, Want: want}
+	return 0, &ReadError{Path: l.path, Chunk: first, Got: got, Want: want, Err: err}
 }
 
 // RemoveLevel deletes the named level's file; a level id with no file
@@ -509,15 +546,15 @@ func (s *Store) RemoveLevel(id int) error {
 	return err
 }
 
-// Reader streams a level's cells sequentially through a private chunk
-// buffer: one counted aligned read per chunk, nothing cached (the merge
-// ladder and the snapshot codec must not evict the search path's
-// working set — see the package comment).
+// Reader streams a level's cells sequentially through one of the
+// store's run buffers: one pread per run of chunks, every chunk counted,
+// nothing cached (see the package comment). Close gives the buffer back.
 type Reader struct {
 	l        *Level
-	next     int // next cell index
-	buf      []byte
-	bufChunk int // chunk index currently in buf; -1 when empty
+	next     int    // next cell index
+	end      int    // cells from here on are never read: the level's size unless Limit lowered it
+	buf      []byte // chunks [first, first+n) of the level
+	first, n int
 }
 
 // NewReader returns a sequential reader positioned at cell start.
@@ -525,14 +562,32 @@ func (l *Level) NewReader(start int) *Reader {
 	if start < 0 || start > l.cells {
 		panic(fmt.Sprintf("extmem: reader start %d out of range [0, %d]", start, l.cells))
 	}
-	return &Reader{l: l, next: start, buf: make([]byte, l.s.chunkBytes), bufChunk: -1}
+	return &Reader{l: l, next: start, end: l.cells, buf: l.s.getRun()}
+}
+
+// Limit ends the pass n cells from here instead of at the end of the
+// level, so that a run read stops at the chunk holding the last of them.
+func (r *Reader) Limit(n int) {
+	if n < 0 || n > r.Remaining() {
+		panic(fmt.Sprintf("extmem: Reader.Limit(%d) with %d cells remaining", n, r.Remaining()))
+	}
+	r.end = r.next + n
+}
+
+// Close releases the run buffer; the reader and its slabs must not be
+// used afterwards. Closing twice is harmless.
+func (r *Reader) Close() {
+	if r.buf != nil {
+		r.l.s.putRun(r.buf)
+		r.buf = nil
+	}
 }
 
 // Remaining reports how many cells are left to read.
-func (r *Reader) Remaining() int { return r.l.cells - r.next }
+func (r *Reader) Remaining() int { return r.end - r.next }
 
-// Skip advances past the next n cells without copying them; chunks
-// skipped whole are never read.
+// Skip advances past the next n cells without copying them; chunks of
+// runs not yet read that are skipped whole are never read.
 func (r *Reader) Skip(n int) {
 	if n < 0 || n > r.Remaining() {
 		panic(fmt.Sprintf("extmem: Reader.Skip(%d) with %d cells remaining", n, r.Remaining()))
@@ -540,10 +595,31 @@ func (r *Reader) Skip(n int) {
 	r.next += n
 }
 
-// Next copies the next len(dst)/CellBytes cells into dst (a whole
-// number of cells) and advances past them: one cell for the merge
-// ladder, a slab of them for the snapshot codec. Calling past the end
-// panics; the caller tracks Remaining.
+// NextSlab returns the next 1 to max cells in place — a view of the run
+// buffer, valid until the next call — and advances past them, reading the
+// run that starts at their chunk when it is not buffered. Calling at the
+// end of the pass panics; the caller tracks Remaining.
+func (r *Reader) NextSlab(max int) ([]byte, error) {
+	if max < 1 || r.Remaining() == 0 {
+		panic("extmem: Reader.NextSlab past the end of the level")
+	}
+	per := r.l.s.cellsPerChunk
+	if chunk := r.next / per; chunk < r.first || chunk >= r.first+r.n {
+		n, err := r.l.readRun(chunk, r.buf[:min(len(r.buf), ((r.end-1)/per-chunk+1)*r.l.s.chunkBytes)])
+		if err != nil {
+			return nil, err
+		}
+		r.first, r.n = chunk, n
+		r.l.s.seqReads.Add(uint64(n))
+	}
+	take := min(max, (r.first+r.n)*per-r.next, r.Remaining())
+	off := (r.next - r.first*per) * CellBytes
+	r.next += take
+	return r.buf[off : off+take*CellBytes], nil
+}
+
+// Next copies the next len(dst)/CellBytes cells into dst (a whole number
+// of cells) and advances past them. Calling past the end panics.
 func (r *Reader) Next(dst []byte) error {
 	if len(dst) == 0 || len(dst)%CellBytes != 0 {
 		panic("extmem: Reader.Next destination must be a whole number of cells")
@@ -551,29 +627,23 @@ func (r *Reader) Next(dst []byte) error {
 	if len(dst)/CellBytes > r.Remaining() {
 		panic("extmem: Reader.Next past the end of the level")
 	}
-	cellsPerChunk := r.l.s.cellsPerChunk
 	for len(dst) > 0 {
-		chunk := r.next / cellsPerChunk
-		if chunk != r.bufChunk {
-			if err := r.l.readChunk(chunk, r.buf); err != nil {
-				return err
-			}
-			r.bufChunk = chunk
-			r.l.s.seqReads.Add(1)
+		slab, err := r.NextSlab(len(dst) / CellBytes)
+		if err != nil {
+			return err
 		}
-		n := copy(dst, r.buf[(r.next%cellsPerChunk)*CellBytes:])
-		dst = dst[n:]
-		r.next += n / CellBytes
+		dst = dst[copy(dst, slab):]
 	}
 	return nil
 }
 
 // LevelWriter streams a new image of one level: cells are appended in
-// order, buffered into whole chunks, and written with aligned pwrites
-// to a temp file that Commit atomically renames into place (replacing
-// and invalidating any previous image of the level). Levels are only
-// ever produced this way — a complete sequential rewrite — which is
-// exactly the COLA merge discipline the paper's analysis charges for.
+// order, buffered into a run of whole chunks (a buffer of the store's),
+// and written with one aligned pwrite per run to a temp file that Commit
+// atomically renames into place (replacing and invalidating any previous
+// image of the level). Levels are only ever produced this way — a
+// complete sequential rewrite — which is exactly the COLA merge
+// discipline the paper's analysis charges for.
 type LevelWriter struct {
 	s     *Store
 	id    int
@@ -600,46 +670,58 @@ func (s *Store) NewLevelWriter(id int) (*LevelWriter, error) {
 	if err != nil {
 		return nil, fmt.Errorf("extmem: create level %d image: %w", id, err)
 	}
-	return &LevelWriter{s: s, id: id, gen: gen, f: f, tmp: tmp, buf: make([]byte, s.chunkBytes)}, nil
+	return &LevelWriter{s: s, id: id, gen: gen, f: f, tmp: tmp, buf: s.getRun()}, nil
+}
+
+// Room returns the unfilled tail of the run buffer, at least one cell
+// long, for whole cells to be encoded straight into and reported by Fill.
+func (w *LevelWriter) Room() []byte {
+	if w.done {
+		panic("extmem: Append after Commit/Abort")
+	}
+	return w.buf[w.fill:]
+}
+
+// Fill adds the n cells just packed into Room, writing a full run out.
+func (w *LevelWriter) Fill(n int) error {
+	w.fill += n * CellBytes
+	w.cells += n
+	if w.fill == len(w.buf) {
+		return w.flushRun()
+	}
+	return nil
 }
 
 // Append adds len(cells)/CellBytes cells (a whole number of them) to the
 // image.
 func (w *LevelWriter) Append(cells []byte) error {
-	if w.done {
-		panic("extmem: Append after Commit/Abort")
-	}
 	if len(cells) == 0 || len(cells)%CellBytes != 0 {
 		panic("extmem: Append takes a whole number of cells")
 	}
 	for len(cells) > 0 {
-		n := copy(w.buf[w.fill:], cells)
+		n := copy(w.Room(), cells)
 		cells = cells[n:]
-		w.fill += n
-		w.cells += n / CellBytes
-		if w.fill == len(w.buf) {
-			if err := w.flushChunk(); err != nil {
-				return err
-			}
+		if err := w.Fill(n / CellBytes); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-func (w *LevelWriter) flushChunk() error {
+func (w *LevelWriter) flushRun() error {
 	if w.fill == 0 {
 		return nil
 	}
 	// Pad the final partial chunk so every chunk on disk is whole and
 	// aligned; a shorter-than-chunk read is then always a torn file.
-	for i := w.fill; i < len(w.buf); i++ {
-		w.buf[i] = 0
-	}
-	if _, err := w.f.WriteAt(w.buf, int64(w.chunk)*int64(len(w.buf))); err != nil {
+	chunks := (w.fill + w.s.chunkBytes - 1) / w.s.chunkBytes
+	run := w.buf[:chunks*w.s.chunkBytes]
+	clear(run[w.fill:])
+	if _, err := w.f.WriteAt(run, int64(w.chunk)*int64(w.s.chunkBytes)); err != nil {
 		return fmt.Errorf("extmem: write chunk %d of level %d: %w", w.chunk, w.id, err)
 	}
-	w.s.writes++
-	w.chunk++
+	w.s.writes += uint64(chunks)
+	w.chunk += chunks
 	w.fill = 0
 	return nil
 }
@@ -654,7 +736,10 @@ func (w *LevelWriter) Commit() (*Level, error) {
 		panic("extmem: Commit after Commit/Abort")
 	}
 	w.done = true
-	if err := w.flushChunk(); err != nil {
+	err := w.flushRun()
+	w.s.putRun(w.buf)
+	w.buf = nil
+	if err != nil {
 		w.discard()
 		return nil, err
 	}
@@ -692,6 +777,8 @@ func (w *LevelWriter) Abort() {
 		return
 	}
 	w.done = true
+	w.s.putRun(w.buf)
+	w.buf = nil
 	w.discard()
 }
 

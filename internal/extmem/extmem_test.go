@@ -3,6 +3,7 @@ package extmem
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -13,7 +14,7 @@ import (
 )
 
 // openTest returns a store in a test temp dir with a tiny cache.
-func openTest(t *testing.T, cacheChunks int) *Store {
+func openTest(t testing.TB, cacheChunks int) *Store {
 	t.Helper()
 	s, err := Open(Config{Dir: t.TempDir(), ChunkBytes: 128, CacheBytes: int64(cacheChunks) * 128})
 	if err != nil {
@@ -29,13 +30,13 @@ func openTest(t *testing.T, cacheChunks int) *Store {
 
 // writeLevel streams n cells into level id; cell i holds i in its first
 // word.
-func writeLevel(t *testing.T, s *Store, id, n int) *Level {
+func writeLevel(t testing.TB, s *Store, id, n int) *Level {
 	t.Helper()
 	return writeLevelFrom(t, s, id, n, 0)
 }
 
 // writeLevelFrom is writeLevel with cell i holding first+i.
-func writeLevelFrom(t *testing.T, s *Store, id, n int, first uint64) *Level {
+func writeLevelFrom(t testing.TB, s *Store, id, n int, first uint64) *Level {
 	t.Helper()
 	w, err := s.NewLevelWriter(id)
 	if err != nil {
@@ -55,7 +56,7 @@ func writeLevelFrom(t *testing.T, s *Store, id, n int, first uint64) *Level {
 	return l
 }
 
-func cellValue(t *testing.T, l *Level, i int) uint64 {
+func cellValue(t testing.TB, l *Level, i int) uint64 {
 	t.Helper()
 	var cell [CellBytes]byte
 	if err := l.ReadCell(i, cell[:]); err != nil {
@@ -478,4 +479,336 @@ func TestOpenValidation(t *testing.T) {
 	if !strings.HasPrefix(filepath.Base(s.Dir()), "extmem-") {
 		t.Fatalf("spill dir %q not namespaced", s.Dir())
 	}
+}
+
+// openDefault returns a store with the default 4 KiB chunks.
+func openDefault(t testing.TB) *Store {
+	t.Helper()
+	s, err := Open(Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	t.Cleanup(func() {
+		if err := s.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	})
+	return s
+}
+
+// TestSequentialIOCountsChunks pins what ChunkReads and ChunkWrites
+// count: chunks, however many of them one pread or pwrite moves. A level
+// of k chunks streamed by one Reader adds exactly k reads, whether it is
+// read a cell or a slab at a time; an image of c cells adds exactly
+// ceil(c/cellsPerChunk) writes.
+func TestSequentialIOCountsChunks(t *testing.T) {
+	s := openTest(t, 4) // 4 cells per chunk, runs of 16 chunks
+	per := s.cellsPerChunk
+	for _, cells := range []int{1, per - 1, per, per + 1, runChunks * per, runChunks*per + 1, 3*runChunks*per - 2, 5 * runChunks * per} {
+		s.ResetCounters()
+		l := writeLevel(t, s, 0, cells)
+		chunks := (cells + per - 1) / per
+		if got := s.ChunkWrites(); got != uint64(chunks) {
+			t.Fatalf("%d cells: %d chunk writes, want %d", cells, got, chunks)
+		}
+		if info, err := os.Stat(l.path); err != nil || info.Size() != int64(chunks*s.chunkBytes) {
+			t.Fatalf("%d cells: image of %v bytes (err %v), want %d whole chunks", cells, info.Size(), err, chunks)
+		}
+		for _, slab := range []int{1, 3, per, 7 * per, cells} {
+			s.ResetCounters()
+			r := l.NewReader(0)
+			next := uint64(0)
+			for r.Remaining() > 0 {
+				raw, err := r.NextSlab(slab)
+				if err != nil {
+					t.Fatalf("NextSlab: %v", err)
+				}
+				if len(raw) == 0 || len(raw)%CellBytes != 0 || len(raw) > slab*CellBytes {
+					t.Fatalf("NextSlab(%d) returned %d bytes", slab, len(raw))
+				}
+				for ; len(raw) > 0; raw, next = raw[CellBytes:], next+1 {
+					if got := binary.LittleEndian.Uint64(raw); got != next {
+						t.Fatalf("%d cells by %d: cell %d reads %d", cells, slab, next, got)
+					}
+				}
+			}
+			r.Close()
+			r.Close() // harmless
+			if next != uint64(cells) {
+				t.Fatalf("%d cells by %d: reader delivered %d", cells, slab, next)
+			}
+			if got := s.ChunkReads(); got != uint64(chunks) {
+				t.Fatalf("%d cells by %d: %d chunk reads, want %d", cells, slab, got, chunks)
+			}
+		}
+	}
+}
+
+// TestReaderSkipAndLimit pins the reads a pass does not make: chunks of
+// runs not yet read that Skip passes over whole, and chunks past the
+// cell a Limit ends the pass at.
+func TestReaderSkipAndLimit(t *testing.T) {
+	s := openTest(t, 4)
+	per := s.cellsPerChunk
+	l := writeLevel(t, s, 0, 5*runChunks*per)
+	var cell [CellBytes]byte
+	read := func(r *Reader, want int) {
+		t.Helper()
+		if err := r.Next(cell[:]); err != nil {
+			t.Fatalf("Next: %v", err)
+		}
+		if got := binary.LittleEndian.Uint64(cell[:8]); got != uint64(want) {
+			t.Fatalf("read cell %d, want %d", got, want)
+		}
+	}
+
+	s.ResetCounters()
+	r := l.NewReader(0)
+	read(r, 0) // the first run: chunks 0..15
+	if got := s.ChunkReads(); got != runChunks {
+		t.Fatalf("first cell read %d chunks, want one run of %d", got, runChunks)
+	}
+	r.Skip(runChunks*per - 2) // still inside the run
+	read(r, runChunks*per-1)
+	if got := s.ChunkReads(); got != runChunks {
+		t.Fatalf("skip inside the run read %d chunks more", got-runChunks)
+	}
+	// Across two run boundaries into the middle of a chunk: the run read
+	// next starts at that chunk, and the 2 runs and 3 chunks skipped are
+	// never read.
+	at := (3*runChunks+3)*per + 1
+	r.Skip(at - runChunks*per)
+	read(r, at)
+	if got := s.ChunkReads(); got != 2*runChunks {
+		t.Fatalf("after skipping to cell %d: %d chunk reads, want %d", at, got, 2*runChunks)
+	}
+	r.Skip(r.Remaining()) // to the end: nothing to read
+	if got := s.ChunkReads(); got != 2*runChunks {
+		t.Fatalf("skipping to the end read %d chunks more", got-2*runChunks)
+	}
+	r.Close()
+
+	// A pass limited to the cells of 2.5 chunks reads 3 chunks, not a run.
+	s.ResetCounters()
+	r = l.NewReader(per)
+	r.Limit(2*per + per/2)
+	n := 0
+	for ; r.Remaining() > 0; n++ {
+		read(r, per+n)
+	}
+	r.Close()
+	if n != 2*per+per/2 {
+		t.Fatalf("limited pass delivered %d cells", n)
+	}
+	if got := s.ChunkReads(); got != 3 {
+		t.Fatalf("limited pass read %d chunks, want 3", got)
+	}
+}
+
+// TestRunReadKeepsTypedFailureExact tears a level image at every kind of
+// place a run read can break — inside a run, exactly on a chunk
+// boundary, inside the last (padded) chunk, at zero bytes — and requires
+// the sequential reader to deliver every cell of the chunks that are
+// whole and then fail with a *ReadError naming the first chunk that is
+// not, with that chunk's own byte counts.
+func TestRunReadKeepsTypedFailureExact(t *testing.T) {
+	const chunk = 128
+	for _, tc := range []struct {
+		name      string
+		cells     int
+		truncate  int64
+		failChunk int
+		got       int
+	}{
+		{"mid-run, mid-chunk", 40 * 4, 5*chunk + 40, 5, 40},
+		{"mid-run, on a chunk boundary", 40 * 4, 7 * chunk, 7, 0},
+		{"in the second run", 40 * 4, (runChunks+2)*chunk + 1, runChunks + 2, 1},
+		{"on the run boundary", 40 * 4, runChunks * chunk, runChunks, 0},
+		{"in the last, padded chunk", 37, 9*chunk + 32, 9, 32},
+		{"to zero bytes", 37, 0, 0, 0},
+	} {
+		s := openTest(t, 4)
+		l := writeLevel(t, s, 0, tc.cells)
+		if err := os.Truncate(l.path, tc.truncate); err != nil {
+			t.Fatal(err)
+		}
+		s.ResetCounters()
+		r := l.NewReader(0)
+		var cell [CellBytes]byte
+		n := 0
+		var err error
+		for ; r.Remaining() > 0; n++ {
+			if err = r.Next(cell[:]); err != nil {
+				break
+			}
+			if got := binary.LittleEndian.Uint64(cell[:8]); got != uint64(n) {
+				t.Fatalf("%s: cell %d reads %d", tc.name, n, got)
+			}
+		}
+		r.Close()
+		if n != tc.failChunk*s.cellsPerChunk {
+			t.Fatalf("%s: %d cells delivered before the failure, want the %d of %d whole chunks", tc.name, n, tc.failChunk*s.cellsPerChunk, tc.failChunk)
+		}
+		var re *ReadError
+		if !errors.As(err, &re) || !errors.Is(err, ErrShortRead) {
+			t.Fatalf("%s: error %v is not a short *ReadError", tc.name, err)
+		}
+		if re.Chunk != tc.failChunk || re.Got != tc.got || re.Want != chunk || re.Path != l.path {
+			t.Fatalf("%s: ReadError %+v, want chunk %d with %d of %d bytes", tc.name, re, tc.failChunk, tc.got, chunk)
+		}
+		if got := s.ChunkReads(); got != uint64(tc.failChunk) {
+			t.Fatalf("%s: %d chunk reads counted, want the %d that arrived whole", tc.name, got, tc.failChunk)
+		}
+	}
+}
+
+// TestWriteFailureMidRun closes the image file under a LevelWriter: the
+// run in the buffer cannot be written, Append says so with the writer's
+// usual message, and Abort leaves no file and no level behind.
+func TestWriteFailureMidRun(t *testing.T) {
+	s := openTest(t, 4)
+	old := writeLevel(t, s, 3, 8)
+	w, err := s.NewLevelWriter(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cell [CellBytes]byte
+	per := s.cellsPerChunk
+	for i := 0; i < runChunks*per+per; i++ { // one run written, one chunk buffered
+		if err := w.Append(cell[:]); err != nil {
+			t.Fatalf("Append(%d): %v", i, err)
+		}
+	}
+	if err := w.f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	writes := s.ChunkWrites()
+	for i := 0; err == nil && i < runChunks*per; i++ {
+		err = w.Append(cell[:])
+	}
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("extmem: write chunk %d of level 3", runChunks)) {
+		t.Fatalf("Append over a closed file: %v", err)
+	}
+	if s.ChunkWrites() != writes {
+		t.Fatalf("a failed run write counted %d chunks", s.ChunkWrites()-writes)
+	}
+	w.Abort()
+	names, _ := filepath.Glob(filepath.Join(s.Dir(), "*.tmp"))
+	if len(names) != 0 {
+		t.Fatalf("Abort left %v behind", names)
+	}
+	if got := cellValue(t, old, 5); got != 5 || s.levels[3] != old {
+		t.Fatalf("the level's previous image did not survive the failed rewrite")
+	}
+}
+
+// TestRunBuffersAreOwnedAndBounded opens a LevelWriter and a Reader on
+// each of ten levels at once — a merge with levels 12 to 21 as sources —
+// and requires the store to own under 1 MiB of run buffers then and
+// after, to make no new one for the next such merge, and to keep no more
+// than maxFreeRuns when more than that were out at once.
+func TestRunBuffersAreOwnedAndBounded(t *testing.T) {
+	s := openDefault(t)
+	var levels []*Level
+	for id := 12; id <= 21; id++ {
+		levels = append(levels, writeLevel(t, s, id, 300))
+	}
+	runBytes := runChunks * s.chunkBytes
+	open := func(n int) {
+		t.Helper()
+		w, err := s.NewLevelWriter(40)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var readers []*Reader
+		for i := 0; i < n; i++ {
+			readers = append(readers, levels[i%len(levels)].NewReader(0))
+		}
+		if len(s.freeRuns) != 0 && n >= maxFreeRuns {
+			t.Fatalf("%d run buffers idle with %d in use", len(s.freeRuns), n+1)
+		}
+		for _, r := range readers {
+			r.Close()
+		}
+		w.Abort()
+	}
+	open(len(levels))
+	if got := len(s.freeRuns) * runBytes; got != 11*runBytes || got > 1<<20 {
+		t.Fatalf("store owns %d bytes of run buffers after a ten-source merge", got)
+	}
+	if avg := testing.AllocsPerRun(10, func() {
+		r := levels[0].NewReader(0)
+		var cell [CellBytes]byte
+		if err := r.Next(cell[:]); err != nil {
+			t.Fatal(err)
+		}
+		r.Close()
+	}); avg > 1 { // the Reader itself
+		t.Fatalf("a warm sequential pass allocates %.0f times, want only its Reader", avg)
+	}
+	open(3 * maxFreeRuns)
+	if len(s.freeRuns) != maxFreeRuns || maxFreeRuns*runBytes > 1<<20 {
+		t.Fatalf("store keeps %d run buffers (%d bytes)", len(s.freeRuns), len(s.freeRuns)*runBytes)
+	}
+}
+
+// BenchmarkSequentialWrite streams a 32 MiB level image a slab of cells
+// at a time, as a merge does.
+func BenchmarkSequentialWrite(b *testing.B) {
+	s := openDefault(b)
+	const cells = 1 << 20
+	slab := make([]byte, 256*CellBytes)
+	b.SetBytes(cells * CellBytes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for it := 0; it < b.N; it++ {
+		w, err := s.NewLevelWriter(1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < cells; i += 256 {
+			if err := w.Append(slab); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := w.Commit(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSequentialRead streams the same image back a slab at a time.
+func BenchmarkSequentialRead(b *testing.B) {
+	s := openDefault(b)
+	const cells = 1 << 20
+	w, err := s.NewLevelWriter(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	slab := make([]byte, 256*CellBytes)
+	for i := 0; i < cells; i += 256 {
+		if err := w.Append(slab); err != nil {
+			b.Fatal(err)
+		}
+	}
+	l, err := w.Commit()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(cells * CellBytes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sum byte
+	for it := 0; it < b.N; it++ {
+		r := l.NewReader(0)
+		for r.Remaining() > 0 {
+			raw, err := r.NextSlab(256)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sum += raw[0]
+		}
+		r.Close()
+	}
+	_ = sum
 }

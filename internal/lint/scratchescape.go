@@ -682,15 +682,25 @@ func isPoolGet(pass *analysis.Pass, e ast.Expr) bool {
 	return strings.HasSuffix(strings.TrimPrefix(types.TypeString(t, nil), "*"), "sync.Pool")
 }
 
-// aliasLike reports whether t can alias scratch memory; basic-typed
-// copies (an int pulled out of a pooled struct) cannot.
+// aliasLike reports whether t can alias scratch memory; copies that
+// hold no reference cannot — a basic-typed value (an int pulled out of
+// a pooled struct), or a struct or array made of nothing else (a cell
+// copied out of a scratch slab).
 func aliasLike(t types.Type) bool {
 	if t == nil {
 		return false
 	}
-	switch t.Underlying().(type) {
-	case *types.Slice, *types.Pointer, *types.Map, *types.Chan, *types.Array, *types.Struct, *types.Interface, *types.Signature:
+	switch u := t.Underlying().(type) {
+	case *types.Slice, *types.Pointer, *types.Map, *types.Chan, *types.Interface, *types.Signature:
 		return true
+	case *types.Array:
+		return aliasLike(u.Elem())
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			if aliasLike(u.Field(i).Type()) {
+				return true
+			}
+		}
 	}
 	return false
 }

@@ -112,6 +112,42 @@ func sum(xs []uint64) uint64 {
 	return s
 }
 
+// cell is a struct of plain values, like a lookahead-array entry.
+type cell struct {
+	key  uint64
+	kind uint8
+}
+
+// window is a struct that does hold a reference.
+type window struct{ run []cell }
+
+// slabs holds scratch cells and a scratch window onto them.
+type slabs struct {
+	//repro:scratch
+	slab []cell
+	//repro:scratch
+	win  window
+	keep []cell
+	last window
+}
+
+// copyCell copies one cell of src over one of dst: the copy holds no
+// reference, so src's memory does not outlive the call through it.
+func copyCell(dst, src []cell) {
+	dst[0] = src[0]
+}
+
+// keepCell hands scratch cells to copyCell, whose summary is empty
+// because a cell cannot alias. Clean.
+func (s *slabs) keepCell() {
+	copyCell(s.keep, s.slab)
+}
+
+// keepWindow copies a struct whose field still points into scratch.
+func (s *slabs) keepWindow() {
+	s.last = s.win // want `stores scratch-backed value in s\.last`
+}
+
 // mergeRuns mirrors the gcola internal that hands its scratch to the
 // caller, which installs it before the next merge reuses the buffer;
 // the waiver documents that ownership contract.

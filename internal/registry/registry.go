@@ -557,9 +557,12 @@ func Build(kind string, opts ...Option) (core.Dictionary, error) {
 		return nil, fmt.Errorf("repro: unknown dictionary kind %q (registered kinds: %s)",
 			kind, strings.Join(Kinds(), ", "))
 	}
-	cfg, err := configFor(e, kind, opts)
-	if err != nil {
-		return nil, err
+	cfg := emptyConfig
+	if len(opts) > 0 {
+		var err error
+		if cfg, err = configFor(e, kind, opts); err != nil {
+			return nil, err
+		}
 	}
 	d, err := e.info.New(cfg)
 	if err != nil {
@@ -622,3 +625,8 @@ func apply(opts []Option) (*Config, error) {
 	}
 	return cfg, nil
 }
+
+// emptyConfig is what no options at all fold into. Builders only read
+// their Config, so every option-less Build shares this one: building a
+// kind with its defaults allocates the structure and nothing else.
+var emptyConfig = newConfig()

@@ -35,6 +35,38 @@ func TestConfigGetterDefaults(t *testing.T) {
 	}
 }
 
+// TestOptionlessBuildSharesOneConfig pins what building a kind with its
+// defaults costs and that the shortcut is safe: every builder leaves the
+// shared empty Config unwritten, and a default gcola is a single
+// allocation — the structure.
+func TestOptionlessBuildSharesOneConfig(t *testing.T) {
+	for _, kind := range Kinds() {
+		if kind == "durable" {
+			continue // needs a log path
+		}
+		d, err := Build(kind)
+		if err != nil {
+			t.Fatalf("Build(%q): %v", kind, err)
+		}
+		d.Insert(1, 2)
+		if c, ok := d.(interface{ Close() error }); ok {
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if len(emptyConfig.set) != 0 || emptyConfig.innerOpts != nil || emptyConfig.space != nil {
+		t.Fatalf("building with defaults wrote to the shared empty Config: %+v", emptyConfig)
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		if _, err := Build("gcola"); err != nil {
+			t.Fatal(err)
+		}
+	}); avg > 1 {
+		t.Fatalf("Build(\"gcola\") allocates %.0f times, want the structure alone", avg)
+	}
+}
+
 func TestAcceptsAndInfo(t *testing.T) {
 	if !Accepts("gcola", OptGrowth) || Accepts("gcola", OptFanout) {
 		t.Error("gcola option matrix wrong")
