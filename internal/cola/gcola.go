@@ -59,9 +59,10 @@ type entry struct {
 // level image: logical cell i (start <= i < cells) is file cell
 // i - start, so the right-justified geometry, the DAM offsets, and
 // every charge stay identical while only the occupied cells hit disk.
-// ext is nil while a spilled level is empty (no file). Single-cell reads
-// funnel through GCOLA.cellAt, which hides the distinction; Search has
-// a windowed kernel per home (searchLevel, searchLevelSpilled).
+// ext is nil while a spilled level is empty (no file). GCOLA.cellAt reads
+// one cell from either home; the read path does not go through it for a
+// RAM level — Search has a kernel per home (searchLevel over data itself,
+// searchLevelSpilled over a copied window) and Range reads data directly.
 type level struct {
 	// data is the level's cell array in the DAM model: every index,
 	// range, copy, or append on it must happen inside a //repro:charges
@@ -415,17 +416,35 @@ func (c *GCOLA) cellOffset(l, i int) int64 {
 	return c.offsets[l] + int64(i)*core.ElementBytes
 }
 
-// chargeRead charges reading cells [i, i+n) of level l.
+// chargeRead charges reading cells [i, i+n) of level l. It and
+// chargeWrite are a guard small enough to be inlined around an
+// out-of-line body, so a structure without accounting pays one
+// predictable branch per charge, not a call; the guard lives here and
+// call sites stay unconditional.
 func (c *GCOLA) chargeRead(l, i, n int) {
-	if n > 0 {
-		c.opt.Space.Read(c.cellOffset(l, i), int64(n)*core.ElementBytes)
+	if c.opt.Space != nil {
+		c.charge(l, i, n, false)
 	}
 }
 
 // chargeWrite charges writing cells [i, i+n) of level l.
 func (c *GCOLA) chargeWrite(l, i, n int) {
-	if n > 0 {
+	if c.opt.Space != nil {
+		c.charge(l, i, n, true)
+	}
+}
+
+// charge is the body of chargeRead and chargeWrite.
+//
+//go:noinline
+func (c *GCOLA) charge(l, i, n int, write bool) {
+	if n <= 0 {
+		return
+	}
+	if write {
 		c.opt.Space.Write(c.cellOffset(l, i), int64(n)*core.ElementBytes)
+	} else {
+		c.opt.Space.Read(c.cellOffset(l, i), int64(n)*core.ElementBytes)
 	}
 }
 

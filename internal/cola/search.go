@@ -6,43 +6,38 @@ import (
 	"repro/internal/core"
 )
 
-// lowerBound is the first index in [lo, hi) whose key is >= target.
-// Every probe is charged at its actual position: the probe path is
-// key-dependent, so distinct searches diverge into distinct blocks
-// after the first few (shared, cache-resident) midpoints — exactly the
-// O(log(range/B)) uncached-transfer profile of a real binary search. A
-// synthetic probe chain (e.g. always halving leftward) would charge the
-// same cells for every search over the same window, and an LRU cache
-// would then make all but the first binary search free, silently
-// erasing the very cost lookahead pointers exist to avoid. A
-// hand-rolled loop instead of sort.Search: the closure sort.Search
-// needs would be heap-allocated on every call, and searches are a
-// zero-allocation hot path (see the AllocsPerRun tests).
+// lowerBound is the first index in [lo, hi) of level l whose key is >=
+// target, for Range's cursors; Search has the same loop in its kernel
+// (searchLevel). Every probe is charged at its actual position: the
+// probe path is key-dependent, so distinct searches diverge into
+// distinct blocks after the first few (shared, cache-resident)
+// midpoints — exactly the O(log(range/B)) uncached-transfer profile of
+// a real binary search. A synthetic probe chain (e.g. always halving
+// leftward) would charge the same cells for every search over the same
+// window, and an LRU cache would then make all but the first binary
+// search free, silently erasing the very cost lookahead pointers exist
+// to avoid. A hand-rolled loop instead of sort.Search: the closure
+// sort.Search needs would be heap-allocated on every call, and searches
+// are a zero-allocation hot path (see the AllocsPerRun tests).
 //
 //repro:charges opt.Space (one cell per probe)
 func (c *GCOLA) lowerBound(l, lo, hi int, target uint64) int {
-	// The RAM fast path keeps the hot loop free of the cellAt call;
-	// spilled levels probe through the page cache with the identical
-	// charge sequence (the probe positions depend only on the window and
-	// the keys, not on where the level lives).
-	if data := c.levels[l].data; data != nil {
-		i, j := lo, hi
-		for i < j {
-			mid := int(uint(i+j) >> 1)
-			c.chargeRead(l, mid, 1)
-			if data[mid].key >= target {
-				j = mid
-			} else {
-				i = mid + 1
-			}
-		}
-		return i
-	}
+	// A RAM level is probed in its own array; a spilled one through the
+	// page cache with the identical charge sequence (the probe positions
+	// depend only on the window and the keys, not on where the level
+	// lives).
+	data := c.levels[l].data
 	i, j := lo, hi
 	for i < j {
 		mid := int(uint(i+j) >> 1)
 		c.chargeRead(l, mid, 1)
-		if c.cellAt(l, mid).key >= target {
+		var k uint64
+		if data != nil {
+			k = data[mid].key
+		} else {
+			k = c.cellAt(l, mid).key
+		}
+		if k >= target {
 			j = mid
 		} else {
 			i = mid + 1
@@ -73,8 +68,7 @@ func (c *GCOLA) Search(key uint64) (uint64, bool) {
 	}
 	lo, hi := -1, -1 // window into the upcoming level; -1 means unknown
 	for l := 0; l < ram; l++ {
-		lv := &c.levels[l]
-		if lv.empty() {
+		if c.levels[l].empty() {
 			lo, hi = -1, -1
 			continue
 		}
@@ -107,16 +101,24 @@ const (
 	foundTombstone
 )
 
-// searchLevel searches RAM level l for key within window [lo, hi)
-// (absolute cell indices; -1 for unknown) and returns the match state
-// plus the window for level l+1 derived from the bracketing lookahead
-// pointers. searchLevelSpilled is its out-of-core twin: any change to
-// the probe or charge sequence here must be made there too
-// (TestSpillParityWithRAM holds the two together).
+// searchLevel is the RAM search kernel: it searches level l for key
+// within window [lo, hi) (absolute cell indices; -1 for unknown) and
+// returns the match state plus the window for level l+1 derived from
+// the bracketing lookahead pointers. It reads the level's own array and
+// nothing else — no call and no cell copy per probe; an unaccounted
+// structure pays chargeRead's inlined guard. searchLevelSpilled is its
+// out-of-core twin: any change to the probe or charge sequence here
+// must be made there too (TestSpillParityWithRAM and
+// TestSpilledSearchKernelMatchesRAM hold the two together, and
+// TestSearchMatchesReference holds this one to the kernel it replaced).
+// Two kernels remain because the spilled one reads only the probed keys
+// out of a window's raw bytes; decoding the window into cells to run
+// this loop over it measured 3.5 µs more per search (DESIGN.md).
 //
-//repro:charges opt.Space (scan reads)
+//repro:charges opt.Space (one cell per probe, scan reads)
 func (c *GCOLA) searchLevel(l int, key uint64, lo, hi int) (uint64, searchState, int, int) {
 	lv := &c.levels[l]
+	data := lv.data
 	if lo < 0 || lo < lv.start {
 		lo = lv.start
 	}
@@ -130,8 +132,18 @@ func (c *GCOLA) searchLevel(l int, key uint64, lo, hi int) (uint64, searchState,
 	// Binary search for the first cell with key >= target. Each probe is
 	// charged as a one-cell read; the DAM store coalesces same-block
 	// probes into one transfer, so the charge model matches a real
-	// binary search's block behaviour.
-	pos := c.lowerBound(l, lo, hi, key)
+	// binary search's block behaviour (see lowerBound).
+	i, j := lo, hi
+	for i < j {
+		mid := int(uint(i+j) >> 1)
+		c.chargeRead(l, mid, 1)
+		if data[mid].key >= key {
+			j = mid
+		} else {
+			i = mid + 1
+		}
+	}
+	pos := i
 
 	// Scan forward over cells with the exact key: lookahead entries for
 	// the key may precede the real entry (the merge emits them first).
@@ -141,8 +153,8 @@ func (c *GCOLA) searchLevel(l int, key uint64, lo, hi int) (uint64, searchState,
 	state := notFound
 	var val uint64
 	scanEnd := pos
-	for i := pos; i < lv.cells; i++ {
-		e := c.cellAt(l, i)
+	for i := pos; i < len(data); i++ {
+		e := &data[i]
 		if e.key != key {
 			break
 		}
@@ -173,7 +185,7 @@ func (c *GCOLA) searchLevel(l int, key uint64, lo, hi int) (uint64, searchState,
 	// by the predecessor cell (all its anchors have keys < target).
 	nlo := -1
 	if pos > lv.start {
-		nlo = int(c.cellAt(l, pos-1).left)
+		nlo = int(data[pos-1].left)
 	}
 	// Right bound: scan forward for the first lookahead entry at or after
 	// pos; everything at or after its target in level l+1 has keys >=
@@ -182,9 +194,9 @@ func (c *GCOLA) searchLevel(l int, key uint64, lo, hi int) (uint64, searchState,
 	// the fly by scanning subsequent levels".
 	nhi := -1
 	scanned := 0
-	for i := pos; i < lv.cells; i++ {
+	for i := pos; i < len(data); i++ {
 		scanned++
-		if e := c.cellAt(l, i); e.kind == kindLookahead {
+		if e := &data[i]; e.kind == kindLookahead {
 			nhi = int(e.ptr) + 1
 			break
 		}
@@ -232,28 +244,36 @@ func (c *GCOLA) Range(lo, hi uint64, fn func(core.Element) bool) {
 	}
 	cb.c = cursors
 
+	// A spilled cursor's cell is copied out through cellAt; a RAM
+	// cursor's is read where it lies.
+	var spilled entry
 	for {
 		// Pick the smallest key among cursors; ties resolved by the
 		// smallest (newest) level. A cursor whose next cell is past hi is
 		// finished — levels are sorted, so nothing later can qualify —
 		// and is dropped, as is one that ran off its level's end.
 		best := -1
-		var bestKey uint64
+		var bestCell entry
 		live := cursors[:0]
 		for _, cur := range cursors {
 			lv := &c.levels[cur.level]
 			// Skip lookahead cells, but never beyond hi: below a big merge
 			// whole levels hold nothing else.
 			for ; cur.pos < lv.cells; cur.pos++ {
-				e := c.cellAt(cur.level, cur.pos)
+				e := &spilled
+				if lv.data != nil {
+					e = &lv.data[cur.pos]
+				} else {
+					spilled = c.cellAt(cur.level, cur.pos)
+				}
 				if e.key > hi {
 					cur.pos = lv.cells
 					break
 				}
 				if e.kind != kindLookahead {
-					if best < 0 || e.key < bestKey || (e.key == bestKey && cur.level < live[best].level) {
+					if best < 0 || e.key < bestCell.key || (e.key == bestCell.key && cur.level < live[best].level) {
 						best = len(live)
-						bestKey = e.key
+						bestCell = *e
 					}
 					break
 				}
@@ -267,21 +287,28 @@ func (c *GCOLA) Range(lo, hi uint64, fn func(core.Element) bool) {
 		if best < 0 {
 			return
 		}
-		// Emit the newest entry for bestKey and advance every cursor
-		// past that key.
-		e := c.cellAt(cursors[best].level, cursors[best].pos)
+		// Emit the newest entry for its key and advance every cursor past
+		// that key.
 		c.chargeRead(cursors[best].level, cursors[best].pos, 1)
 		for i := range cursors {
 			cur := &cursors[i]
 			lv := &c.levels[cur.level]
-			for cur.pos < lv.cells && c.cellAt(cur.level, cur.pos).key == bestKey {
-				cur.pos++
+			for ; cur.pos < lv.cells; cur.pos++ {
+				var k uint64
+				if lv.data != nil {
+					k = lv.data[cur.pos].key
+				} else {
+					k = c.cellAt(cur.level, cur.pos).key
+				}
+				if k != bestCell.key {
+					break
+				}
 			}
 		}
-		if e.kind == kindTombstone {
+		if bestCell.kind == kindTombstone {
 			continue
 		}
-		if !fn(core.Element{Key: e.key, Value: e.val}) {
+		if !fn(core.Element{Key: bestCell.key, Value: bestCell.val}) {
 			return
 		}
 	}

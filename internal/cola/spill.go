@@ -52,11 +52,12 @@ func decodeCell(src *[extmem.CellBytes]byte) entry { return getEntry(src[:]) }
 // lookup, two across a chunk boundary — is the actual-I/O analogue of
 // all of one level's charged probes, the way the DAM store coalesces
 // same-block charges into one transfer. cellAt remains the per-cell
-// path for Range, the invariant checker, and a search scan that outruns
-// its window. The read path stays allocation-free: the cell buffer is a
-// stack array and extmem copies into it.
+// path for Range's spilled cursors, the invariant checker, and a search
+// scan that outruns its window; on a RAM level Search and Range index
+// the array themselves. The read path stays allocation-free: the cell
+// buffer is a stack array and extmem copies into it.
 //
-//repro:charges caller:the read paths charge each probed range at the call site (lowerBound, searchLevel, searchLevelSpilled, Range)
+//repro:charges caller:the read paths charge each probed range at the call site (lowerBound, searchLevelSpilled, Range)
 func (c *GCOLA) cellAt(l, i int) entry {
 	lv := &c.levels[l]
 	if lv.ext == nil {

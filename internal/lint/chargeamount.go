@@ -52,7 +52,7 @@ var ChargeamountAnalyzer = &analysis.Analyzer{
 
 func runChargeamount(pass *analysis.Pass) (interface{}, error) {
 	dirs := collectDirectives(pass)
-	accounted := markedFields(pass, verbAccounted)
+	accounted := accountedStorage(pass)
 	if len(accounted) == 0 {
 		return dirs.usage, nil
 	}
@@ -106,18 +106,7 @@ func probesDirectly(pass *analysis.Pass, fd *ast.FuncDecl, accounted map[types.O
 	// alias-then-probe idiom), then look for probes.
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		if as, ok := n.(*ast.AssignStmt); ok {
-			for i, rhs := range as.Rhs {
-				if i >= len(as.Lhs) {
-					break
-				}
-				if id, ok := as.Lhs[i].(*ast.Ident); ok && reaches(rhs) && !freshAlloc(pass, rhs) {
-					if obj := pass.TypesInfo.Defs[id]; obj != nil {
-						taint[obj] = true
-					} else if obj := pass.TypesInfo.Uses[id]; obj != nil {
-						taint[obj] = true
-					}
-				}
-			}
+			taintAliases(pass, as, accounted, taint)
 		}
 		return true
 	})

@@ -8,6 +8,8 @@ import (
 	"golang.org/x/tools/go/analysis"
 	"golang.org/x/tools/go/analysis/passes/inspect"
 	"golang.org/x/tools/go/ast/inspector"
+
+	"repro/internal/lint/flow"
 )
 
 // DamchargeAnalyzer enforces the DAM-accounting invariant: every
@@ -17,7 +19,10 @@ import (
 // //repro:charges <space>; such a function must in turn contain a
 // charge call (Read/Write on a space, or a call to another charged
 // accessor) unless its argument starts with "caller:", which documents
-// that its callers own the charging. This is the analyzer that would
+// that its callers own the charging. Accounted storage handed to a
+// same-package function stays accounted in the parameter that receives
+// it (accountedStorage), so a helper indexing a `cells []entry` it was
+// passed answers to the same rule. This is the analyzer that would
 // have failed the build on PR 6's synthetic binary-search midpoint
 // chain — an "optimization" that probed accounted cells while charging
 // a key-independent synthetic position stream.
@@ -40,7 +45,7 @@ var chargeCallNames = map[string]bool{
 
 func runDamcharge(pass *analysis.Pass) (interface{}, error) {
 	dirs := collectDirectives(pass)
-	accounted := markedFields(pass, verbAccounted)
+	accounted := accountedStorage(pass)
 	if len(accounted) == 0 {
 		return dirs.usage, nil
 	}
@@ -105,6 +110,92 @@ func checkAccessorCharges(pass *analysis.Pass, fd *ast.FuncDecl, args string, ch
 	}
 }
 
+// aliasable reports whether e is reference-like: only such values
+// carry accounted storage along. Reading a basic-typed element is an
+// access (caught at the index expression), not an alias.
+func aliasable(pass *analysis.Pass, e ast.Expr) bool {
+	t := pass.TypesInfo.TypeOf(e)
+	if t == nil {
+		return false
+	}
+	switch t.Underlying().(type) {
+	case *types.Slice, *types.Pointer, *types.Array:
+		return true
+	}
+	return false
+}
+
+// accountedStorage is the package's accounted storage: the fields and
+// variables marked //repro:accounted, and every parameter of a
+// same-package function that some call hands such storage, a local
+// alias of it, or another such parameter. Calls through function values
+// and into other packages are not followed: their callees have no
+// syntax here to check.
+func accountedStorage(pass *analysis.Pass) map[types.Object]bool {
+	accounted := markedFields(pass, verbAccounted)
+	if len(accounted) == 0 {
+		return accounted
+	}
+	var bodies []*ast.BlockStmt
+	for _, f := range pass.Files {
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				bodies = append(bodies, fd.Body)
+			}
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, body := range bodies {
+			taint := make(map[types.Object]bool)
+			ast.Inspect(body, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					taintAliases(pass, n, accounted, taint)
+				case *ast.CallExpr:
+					callee := flow.StaticCallee(pass.TypesInfo, n)
+					if callee == nil || callee.Pkg() != pass.Pkg {
+						return true
+					}
+					params := callee.Type().(*types.Signature).Params()
+					for i, arg := range n.Args {
+						if !aliasable(pass, arg) || freshAlloc(pass, arg) ||
+							!selectsMarked(pass, arg, accounted) && !selectsMarked(pass, arg, taint) {
+							continue
+						}
+						if p := params.At(min(i, params.Len()-1)); !accounted[p] { // a variadic's last parameter takes the rest
+							accounted[p] = true
+							changed = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	return accounted
+}
+
+// taintAliases adds to taint the locals that as assigns accounted
+// storage, or an alias of it already in taint.
+func taintAliases(pass *analysis.Pass, as *ast.AssignStmt, accounted, taint map[types.Object]bool) {
+	for i, rhs := range as.Rhs {
+		if i >= len(as.Lhs) {
+			break
+		}
+		id, ok := as.Lhs[i].(*ast.Ident)
+		if !ok || !aliasable(pass, rhs) || freshAlloc(pass, rhs) ||
+			!selectsMarked(pass, rhs, accounted) && !selectsMarked(pass, rhs, taint) {
+			continue
+		}
+		if obj := pass.TypesInfo.Defs[id]; obj != nil {
+			taint[obj] = true
+		} else if obj := pass.TypesInfo.Uses[id]; obj != nil {
+			taint[obj] = true
+		}
+	}
+}
+
 // checkUncharged flags accesses to accounted storage in a function
 // that is not a declared accessor. Local aliases of accounted storage
 // (slice-typed values assigned from it) are tracked within the
@@ -123,35 +214,10 @@ func checkUncharged(pass *analysis.Pass, fd *ast.FuncDecl, accounted map[types.O
 			"%s accounted storage outside a charged accessor (mark %s with //repro:charges <space> or charge via an accessor)",
 			what, fd.Name.Name)
 	}
-	// aliasable: only reference-like values propagate taint; reading a
-	// basic-typed element is an access (caught at the index expression),
-	// not an alias.
-	aliasable := func(e ast.Expr) bool {
-		t := pass.TypesInfo.TypeOf(e)
-		if t == nil {
-			return false
-		}
-		switch t.Underlying().(type) {
-		case *types.Slice, *types.Pointer, *types.Array:
-			return true
-		}
-		return false
-	}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
-			for i, rhs := range n.Rhs {
-				if i >= len(n.Lhs) {
-					break
-				}
-				if id, ok := n.Lhs[i].(*ast.Ident); ok && aliasable(rhs) && reaches(rhs) && !freshAlloc(pass, rhs) {
-					if obj := pass.TypesInfo.Defs[id]; obj != nil {
-						taint[obj] = true
-					} else if obj := pass.TypesInfo.Uses[id]; obj != nil {
-						taint[obj] = true
-					}
-				}
-			}
+			taintAliases(pass, n, accounted, taint)
 		case *ast.IndexExpr:
 			if reaches(n.X) {
 				report(n, "indexes")

@@ -14,6 +14,8 @@
 //     itself contain a charge call (a Read/Write on a dam space or a
 //     call to another charged accessor) unless its directive argument
 //     starts with "caller:", which documents that its callers charge.
+//     Accounted storage passed to a same-package function stays
+//     accounted in the parameter that receives it.
 //   - rlockpure: between mu.RLock() and mu.RUnlock() (and between
 //     BeginSharedReads/EndSharedReads, and throughout methods marked
 //     //repro:readonly), receiver fields must not be written

@@ -127,3 +127,38 @@ func (l *level) amortized(i int) uint64 {
 	l.spc.Read(4)
 	return v
 }
+
+// windowed hands its accounted cells to kernels that take them as a
+// parameter; the parameter is accounted storage there too.
+//
+//repro:charges level.spc
+func (l *level) windowed(key uint64) int {
+	return l.kernel(l.data[1:], key) + l.kernelBudget(l.data[1:], key)
+}
+
+// kernel probes the cells it is handed in lockstep with its charges.
+// Clean.
+//
+//repro:charges level.spc
+func (l *level) kernel(cells []uint64, key uint64) int {
+	j := 0
+	for j < len(cells) && cells[j] < key {
+		l.spc.Read(1)
+		j++
+	}
+	return j
+}
+
+// kernelBudget probes them and charges a constant from nowhere: a
+// parameter does not launder the cells.
+//
+//repro:charges level.spc
+func (l *level) kernelBudget(cells []uint64, key uint64) int {
+	j := 0
+	for j < len(cells) && cells[j] < key {
+		j++
+	}
+	budget := 8
+	l.spc.Read(budget) // want `charge call Read derives from no probed index`
+	return j
+}
