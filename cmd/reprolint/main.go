@@ -1,7 +1,7 @@
 // Command reprolint runs the repo's invariant analyzers (package
-// repro/internal/lint: damcharge, chargeamount, rlockpure,
-// bracketbalance, bracketflow, scratchescape, durerr, reprodirective)
-// together with the full standard vet battery — a superset of the
+// repro/internal/lint: damcharge, rlockpure, bracketflow,
+// scratchescape, durerr, reprodirective) together with the full
+// standard vet battery — a superset of the
 // abbreviated subset `go test` runs by default.
 //
 // It speaks the `go vet -vettool` unitchecker protocol, so the usual

@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"maps"
 	"strings"
 
 	"golang.org/x/tools/go/analysis"
@@ -12,12 +13,14 @@ import (
 	"repro/internal/lint/flow"
 )
 
-// BracketflowAnalyzer tracks bracket balance — RLock/RUnlock,
+// BracketflowAnalyzer enforces bracket balance — RLock/RUnlock,
 // Lock/Unlock, Begin*/End* — as dataflow facts: per bracket key (the
-// receiver expression plus its release name), the set of balances
-// possible at each program point. It complements bracketbalance's
-// per-acquire path walk with the two shapes that walk cannot express:
+// receiver expression plus its release name, so s.mu.RLock() paired
+// with other.mu.RUnlock() does not balance), the set of balances
+// possible at each program point. It reports:
 //
+//   - Leaks at return: a key that may still be held at some exit, such
+//     as an early return that skips the release.
 //   - Loop leaks: an acquire whose release is skipped on the back edge
 //     accumulates balance; the analyzer reports the acquire the moment
 //     a prior balance may still be outstanding.
@@ -30,9 +33,12 @@ import (
 //
 // A deferred release — direct or inside a deferred closure — is
 // credited where the defer is registered, since it covers every
-// subsequent path including panics. Functions that are themselves
-// bracket machinery (named Begin*, End*, Lock, Unlock, RLock, RUnlock)
-// are skipped and get no summary: a call to them IS the primitive
+// subsequent path including panics. The call of a go statement runs in
+// another goroutine, so it acquires, releases and summarizes nothing in
+// this frame: a lock handed to a goroutine is still held here, and the
+// hand-off needs a waiver. Functions that are themselves bracket
+// machinery (named Begin*, End*, Lock, Unlock, RLock, RUnlock) are
+// skipped and get no summary: a call to them IS the primitive
 // acquire/release. Net-negative functions (release-only helpers) are
 // not reported — over-release is a run-time panic the tests catch —
 // but their summaries still debit callers.
@@ -56,6 +62,9 @@ const (
 	balCeil  balSet = 1 << 5 // +4 or more
 	balPos   balSet = 0b111100
 )
+
+// held reports whether the set admits a positive balance.
+func (b balSet) held() bool { return b&(balPos|balCeil) != 0 }
 
 // shift moves every balance in the set by delta, clamping at the
 // floor and ceiling.
@@ -101,30 +110,19 @@ type bfSumKey struct {
 	release string
 }
 
-func bfSummaryEqual(a, b bfSummary) bool {
-	if len(a) != len(b) {
-		return false
+// releaseFor maps an acquire call name to its release; Begin* pairs
+// generically with End*.
+func releaseFor(name string) (string, bool) {
+	switch name {
+	case "RLock":
+		return "RUnlock", true
+	case "Lock":
+		return "Unlock", true
 	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
+	if rest, ok := strings.CutPrefix(name, "Begin"); ok && rest != "" {
+		return "End" + rest, true
 	}
-	return true
-}
-
-// bracketMachinery reports whether a function is itself part of the
-// bracket vocabulary; calls to it are primitives, and its own
-// (deliberate) imbalance is not a finding.
-func bracketMachinery(name string) bool {
-	if _, isAcquire := releaseFor(name); isAcquire {
-		return true
-	}
-	if name == "Unlock" || name == "RUnlock" {
-		return true
-	}
-	rest, ok := strings.CutPrefix(name, "End")
-	return ok && rest != ""
+	return "", false
 }
 
 // isReleaseName reports whether name closes some bracket.
@@ -136,31 +134,31 @@ func isReleaseName(name string) bool {
 	return ok && rest != ""
 }
 
+// bracketMachinery reports whether a function is itself part of the
+// bracket vocabulary; calls to it are primitives, and its own
+// (deliberate) imbalance is not a finding.
+func bracketMachinery(name string) bool {
+	_, isAcquire := releaseFor(name)
+	return isAcquire || isReleaseName(name)
+}
+
+// bracketCall matches x.<name>() calls; it returns the receiver
+// expression string.
+func bracketCall(c *ast.CallExpr) (name, recvStr string, ok bool) {
+	sel, ok := c.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return "", "", false
+	}
+	return sel.Sel.Name, types.ExprString(sel.X), true
+}
+
 func runBracketflow(pass *analysis.Pass) (interface{}, error) {
 	dirs := collectDirectives(pass)
-	cfgs := pass.ResultOf[ctrlflow.Analyzer].(*ctrlflow.CFGs)
-	g := flow.PackageGraph(pass)
-
-	bc := &bfCtx{pass: pass, cfgs: cfgs}
-
-	// Bottom-up summaries: net bracket deltas of non-machinery helpers
-	// on receiver/parameter-rooted keys.
-	bc.summaries = flow.Summaries(g, bfSummaryEqual,
-		func(fn *types.Func, fd *ast.FuncDecl, get func(*types.Func) (bfSummary, bool)) bfSummary {
-			if bracketMachinery(fd.Name.Name) {
-				return bfSummary{}
-			}
-			bc.get = get
-			return bc.summarize(fd)
-		})
-	bc.get = func(fn *types.Func) (bfSummary, bool) { s, ok := bc.summaries[fn]; return s, ok }
-
+	bc, g := newBracketCtx(pass)
 	for _, fn := range g.Funcs() {
-		fd := g.Decls[fn]
-		if bracketMachinery(fd.Name.Name) {
-			continue
+		if fd := g.Decls[fn]; !bracketMachinery(fd.Name.Name) {
+			bc.check(fd, dirs)
 		}
-		bc.check(fd, dirs)
 	}
 	return dirs.usage, nil
 }
@@ -172,19 +170,36 @@ type bfCtx struct {
 	get       func(*types.Func) (bfSummary, bool)
 }
 
+// newBracketCtx computes the package's bottom-up bracket summaries: the
+// net deltas of every non-machinery function on keys rooted at its
+// receiver or parameters.
+func newBracketCtx(pass *analysis.Pass) (*bfCtx, *flow.Graph) {
+	bc := &bfCtx{pass: pass, cfgs: pass.ResultOf[ctrlflow.Analyzer].(*ctrlflow.CFGs)}
+	g := flow.PackageGraph(pass)
+	bc.summaries = flow.Summaries(g, maps.Equal[bfSummary, bfSummary],
+		func(fn *types.Func, fd *ast.FuncDecl, get func(*types.Func) (bfSummary, bool)) bfSummary {
+			if bracketMachinery(fd.Name.Name) {
+				return bfSummary{}
+			}
+			bc.get = get
+			return bc.summarize(fd)
+		})
+	bc.get = func(fn *types.Func) (bfSummary, bool) { s, ok := bc.summaries[fn]; return s, ok }
+	return bc, g
+}
+
+// bfLattice is the balance dataflow. With holdDeferred, deferred calls
+// change nothing where they are registered — the bracket stays held
+// until the function returns — which is the view rlockpure's read
+// regions need; bracketflow credits them at registration.
 type bfLattice struct {
-	bc *bfCtx
+	bc           *bfCtx
+	holdDeferred bool
 }
 
 func (bfLattice) Entry() bfState { return bfState{} }
 
-func (bfLattice) Clone(s bfState) bfState {
-	c := make(bfState, len(s))
-	for k, v := range s {
-		c[k] = v
-	}
-	return c
-}
+func (bfLattice) Clone(s bfState) bfState { return maps.Clone(s) }
 
 func (l bfLattice) Join(a, b bfState) bfState {
 	j := l.Clone(a)
@@ -203,17 +218,7 @@ func (l bfLattice) Join(a, b bfState) bfState {
 	return j
 }
 
-func (bfLattice) Equal(a, b bfState) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
-}
+func (bfLattice) Equal(a, b bfState) bool { return maps.Equal(a, b) }
 
 func (s bfState) get(k bkey) balSet {
 	if v, ok := s[k]; ok {
@@ -239,13 +244,14 @@ func (s bfState) apply(k bkey, deltas balSet) {
 	}
 }
 
-// bracketEvents walks one CFG node (closures excluded — they have
-// their own frames) and invokes acquire/release/summary callbacks in
-// syntactic order. Deferred releases count at registration.
-func (bc *bfCtx) bracketEvents(n ast.Node,
+// events walks one CFG node (closures excluded — they have their own
+// frames) and reports its acquires, releases, and callee summaries in
+// syntactic order, each summary delta already rewritten to a
+// caller-side key.
+func (l bfLattice) events(n ast.Node,
 	onAcquire func(k bkey, call *ast.CallExpr),
-	onRelease func(k bkey, call *ast.CallExpr),
-	onSummary func(sum bfSummary, call *ast.CallExpr),
+	onRelease func(k bkey),
+	onSummary func(k bkey, deltas balSet, call *ast.CallExpr),
 ) {
 	var visit func(m ast.Node, inDefer bool)
 	visit = func(m ast.Node, inDefer bool) {
@@ -254,6 +260,9 @@ func (bc *bfCtx) bracketEvents(n ast.Node,
 			case *ast.FuncLit:
 				return false
 			case *ast.DeferStmt:
+				if l.holdDeferred {
+					return false
+				}
 				// The deferred call's releases are credited here; a
 				// deferred closure's releases too. Acquire-in-defer is
 				// nonsense the event order surfaces naturally.
@@ -262,24 +271,35 @@ func (bc *bfCtx) bracketEvents(n ast.Node,
 					visit(fl.Body, true)
 				}
 				return false
+			case *ast.GoStmt:
+				// The call runs in the spawned goroutine; only its
+				// operands are evaluated in this frame.
+				visit(x.Call.Fun, inDefer)
+				for _, arg := range x.Call.Args {
+					visit(arg, inDefer)
+				}
+				return false
 			case *ast.CallExpr:
-				if name, recv, call := bracketCall(x); call != nil {
+				if name, recv, ok := bracketCall(x); ok {
 					if release, isAcquire := releaseFor(name); isAcquire {
 						if !inDefer {
-							onAcquire(bkey{recv, release}, call)
+							onAcquire(bkey{recv, release}, x)
 						}
 						return true
 					}
 					if isReleaseName(name) {
-						onRelease(bkey{recv, name}, call)
+						onRelease(bkey{recv, name})
 						return true
 					}
 				}
 				// Non-bracket call (method or plain function): apply the
 				// callee's net-delta summary if one exists.
-				if fn := flow.StaticCallee(bc.pass.TypesInfo, x); fn != nil {
-					if sum, ok := bc.get(fn); ok && len(sum) > 0 {
-						onSummary(sum, x)
+				if fn := flow.StaticCallee(l.bc.pass.TypesInfo, x); fn != nil {
+					sum, _ := l.bc.get(fn)
+					for sk, deltas := range sum {
+						if k, ok := instantiate(sk, x, fn); ok {
+							onSummary(k, deltas, x)
+						}
 					}
 				}
 				return true
@@ -293,7 +313,7 @@ func (bc *bfCtx) bracketEvents(n ast.Node,
 // instantiate rewrites a summary key to a caller-side bracket key
 // through the call's receiver/argument expressions; ok is false when
 // the slot has no printable expression at this call site.
-func instantiate(pass *analysis.Pass, k bfSumKey, call *ast.CallExpr, fn *types.Func) (bkey, bool) {
+func instantiate(k bfSumKey, call *ast.CallExpr, fn *types.Func) (bkey, bool) {
 	var base ast.Expr
 	if k.slot == 0 {
 		sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
@@ -311,18 +331,10 @@ func instantiate(pass *analysis.Pass, k bfSumKey, call *ast.CallExpr, fn *types.
 }
 
 func (l bfLattice) Transfer(s bfState, n ast.Node) bfState {
-	bc := l.bc
-	bc.bracketEvents(n,
+	l.events(n,
 		func(k bkey, _ *ast.CallExpr) { s[k] = s.get(k).shift(1) },
-		func(k bkey, _ *ast.CallExpr) { s[k] = s.get(k).shift(-1) },
-		func(sum bfSummary, call *ast.CallExpr) {
-			fn := flow.StaticCallee(bc.pass.TypesInfo, call)
-			for sk, deltas := range sum {
-				if k, ok := instantiate(bc.pass, sk, call, fn); ok {
-					s.apply(k, deltas)
-				}
-			}
-		},
+		func(k bkey) { s[k] = s.get(k).shift(-1) },
+		func(k bkey, deltas balSet, _ *ast.CallExpr) { s.apply(k, deltas) },
 	)
 	return s
 }
@@ -337,37 +349,27 @@ func (bc *bfCtx) summarize(fd *ast.FuncDecl) bfSummary {
 	}
 	res := flow.Forward[bfState](g, bfLattice{bc: bc})
 	slots := paramSlots(fd)
-	var exits []bfState
-	for _, s := range res.ExitStates() {
-		exits = append(exits, s)
-	}
 	sum := bfSummary{}
-	for _, exit := range exits {
+	var tracked []map[bfSumKey]bool // per exit
+	for _, exit := range res.ExitStates() {
+		at := make(map[bfSumKey]bool)
 		for k, v := range exit {
-			if v == balZero {
-				continue
-			}
 			base, path := splitRecv(k.recv)
-			slot, ok := slots[base]
-			if !ok {
-				continue
+			if slot, ok := slots[base]; ok {
+				sk := bfSumKey{slot, path, k.release}
+				at[sk] = true
+				if v != balZero {
+					sum[sk] |= v
+				}
 			}
-			sum[bfSumKey{slot, path, k.release}] |= v
 		}
+		tracked = append(tracked, at)
 	}
 	// A key imbalanced at one exit but untracked (≡ balance 0) at
 	// another must include the zero delta.
 	for sk := range sum {
-		for _, exit := range exits {
-			found := false
-			for k := range exit {
-				base, path := splitRecv(k.recv)
-				if slot, ok := slots[base]; ok && (bfSumKey{slot, path, k.release}) == sk {
-					found = true
-					break
-				}
-			}
-			if !found {
+		for _, at := range tracked {
+			if !at[sk] {
 				sum[sk] |= balZero
 			}
 		}
@@ -436,29 +438,24 @@ func (bc *bfCtx) check(fd *ast.FuncDecl, dirs *dirIndex) {
 		// private copy so a second acquire within the same node still
 		// sees the first.
 		local := lat.Clone(before)
-		bc.bracketEvents(n,
+		lat.events(n,
 			func(k bkey, call *ast.CallExpr) {
 				if firstSite[k] == nil {
 					firstSite[k] = call
 				}
-				if local.get(k)&(balPos|balCeil) != 0 {
+				if local.get(k).held() {
 					report(k, call,
 						"%s may be re-acquired while a previous acquire is still unreleased (missing release on a loop back edge?)",
 						k.recv)
 				}
 				local[k] = local.get(k).shift(1)
 			},
-			func(k bkey, _ *ast.CallExpr) { local[k] = local.get(k).shift(-1) },
-			func(sum bfSummary, call *ast.CallExpr) {
-				fn := flow.StaticCallee(bc.pass.TypesInfo, call)
-				for sk, deltas := range sum {
-					if k, ok := instantiate(bc.pass, sk, call, fn); ok {
-						if deltas&(balPos|balCeil) != 0 && firstSite[k] == nil {
-							firstSite[k] = call
-						}
-						local.apply(k, deltas)
-					}
+			func(k bkey) { local[k] = local.get(k).shift(-1) },
+			func(k bkey, deltas balSet, call *ast.CallExpr) {
+				if deltas.held() && firstSite[k] == nil {
+					firstSite[k] = call
 				}
+				local.apply(k, deltas)
 			},
 		)
 	})
@@ -466,7 +463,7 @@ func (bc *bfCtx) check(fd *ast.FuncDecl, dirs *dirIndex) {
 	// Exit check: any key that may still be positive at some exit.
 	for _, exit := range res.ExitStates() {
 		for k, v := range exit {
-			if v&(balPos|balCeil) == 0 {
+			if !v.held() {
 				continue
 			}
 			report(k, firstSite[k],

@@ -21,20 +21,6 @@ const (
 	verbAllow     = "allow"
 )
 
-// knownAnalyzers is the set of analyzer names //repro:allow may waive.
-// scratchalias retired in favor of scratchescape (its flow-sensitive,
-// cross-function successor); old waivers must be renamed, which the
-// directive checker enforces by rejecting the stale name.
-var knownAnalyzers = map[string]bool{
-	"damcharge":      true,
-	"chargeamount":   true,
-	"rlockpure":      true,
-	"bracketbalance": true,
-	"bracketflow":    true,
-	"scratchescape":  true,
-	"durerr":         true,
-}
-
 // directive is one parsed //repro: comment.
 type directive struct {
 	verb string
@@ -268,12 +254,18 @@ func freshAlloc(pass *analysis.Pass, e ast.Expr) bool {
 	if !ok {
 		return false
 	}
-	id, ok := call.Fun.(*ast.Ident)
-	if !ok || (id.Name != "make" && id.Name != "new") {
-		return false
+	b := builtin(pass, call)
+	return b == "make" || b == "new"
+}
+
+// builtin is the name of the builtin a call invokes, or "".
+func builtin(pass *analysis.Pass, call *ast.CallExpr) string {
+	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
+		if _, isBuiltin := pass.TypesInfo.Uses[id].(*types.Builtin); isBuiltin {
+			return id.Name
+		}
 	}
-	_, isBuiltin := pass.TypesInfo.Uses[id].(*types.Builtin)
-	return isBuiltin
+	return ""
 }
 
 // selectsMarked reports whether expr contains a selector (or bare

@@ -1,11 +1,10 @@
 package lint
 
 import (
-	"sort"
+	"slices"
 	"strings"
 
 	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
 )
 
 // DirectiveAnalyzer is the gate for the //repro: directive vocabulary.
@@ -23,34 +22,19 @@ import (
 // suppressed has been fixed or was never real — leaving it in place
 // would silently mask the next genuine finding at that line.
 var DirectiveAnalyzer = &analysis.Analyzer{
-	Name: "reprodirective",
-	Doc:  "//repro: directives must be well-formed; waivers must name a known analyzer, carry a reason, and still suppress something",
-	Requires: []*analysis.Analyzer{
-		inspect.Analyzer,
-		DamchargeAnalyzer,
-		ChargeamountAnalyzer,
-		RlockpureAnalyzer,
-		BracketAnalyzer,
-		BracketflowAnalyzer,
-		ScratchescapeAnalyzer,
-		DurerrAnalyzer,
-	},
-	Run: runDirectiveCheck,
-}
-
-// knownAnalyzerList is knownAnalyzers sorted, for the unknown-name
-// message.
-func knownAnalyzerList() string {
-	names := make([]string, 0, len(knownAnalyzers))
-	for n := range knownAnalyzers {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return strings.Join(names, ", ")
+	Name:     "reprodirective",
+	Doc:      "//repro: directives must be well-formed; waivers must name a known analyzer, carry a reason, and still suppress something",
+	Requires: invariants,
+	Run:      runDirectiveCheck,
 }
 
 func runDirectiveCheck(pass *analysis.Pass) (interface{}, error) {
 	idx := collectDirectives(pass)
+	known := make([]string, len(invariants))
+	for i, a := range invariants {
+		known[i] = a.Name
+	}
+	slices.Sort(known)
 
 	// Union the waiver positions every invariant analyzer reported
 	// using. A reasoned waiver none of them used is stale.
@@ -77,8 +61,8 @@ func runDirectiveCheck(pass *analysis.Pass) (interface{}, error) {
 				pass.Reportf(d.pos, "//repro:allow needs an analyzer name and a reason")
 				continue
 			}
-			if !knownAnalyzers[name] {
-				pass.Reportf(d.pos, "//repro:allow names unknown analyzer %q (known: %s)", name, knownAnalyzerList())
+			if !slices.Contains(known, name) {
+				pass.Reportf(d.pos, "//repro:allow names unknown analyzer %q (known: %s)", name, strings.Join(known, ", "))
 				continue
 			}
 			if strings.TrimSpace(reason) == "" {

@@ -1,10 +1,10 @@
 // Package flow is a small intraprocedural forward-dataflow engine over
 // golang.org/x/tools/go/cfg, plus a package-local call graph for
-// computing bottom-up call summaries. It exists so reprolint's deeper
-// analyzers (chargeamount, scratchescape, bracketflow) can express
-// flow-sensitive facts — "this local is derived from a probed index on
-// every path reaching this charge call" — that the per-statement AST
-// matching of the v1 analyzers cannot.
+// computing bottom-up call summaries. reprolint's damcharge,
+// rlockpure, bracketflow and scratchescape analyzers all run on it, so
+// they can express flow-sensitive facts — "this local is derived from
+// a probed index on some path reaching this charge call", "a read lock
+// may be held here" — that per-statement AST matching cannot.
 //
 // The engine is deliberately minimal: a client supplies a Lattice (an
 // abstract state, a join, and a transfer function over CFG nodes) and

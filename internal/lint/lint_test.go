@@ -1,66 +1,100 @@
 package lint_test
 
 import (
+	"io/fs"
+	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
+
+	"golang.org/x/tools/go/analysis"
 
 	"repro/internal/lint"
 	"repro/internal/lint/linttest"
 )
 
-// Each analyzer runs over its hermetic testdata package (flagged and
-// clean cases side by side) plus, where one exists, the regression
-// package reproducing a bug this repo actually shipped.
-
-func TestDamcharge(t *testing.T) {
-	linttest.Run(t, "testdata", lint.DamchargeAnalyzer, "damcharge")
+// corpora is the spec: every analyzer of the suite and the testdata
+// packages it must pass, flagged and clean cases side by side. A merged
+// analyzer runs over the corpora of both analyzers it replaced, and its
+// expected lines there are the union of theirs. The hist* packages
+// reproduce bugs this repo actually shipped: histdam and histamount the
+// synthetic midpoint chain of experiment E13, from the uncharged-probe
+// and the charge-amount side; histrlock the plain counter increments on
+// syncdict's first RLock fast path.
+var corpora = []struct {
+	a    *analysis.Analyzer
+	pkgs []string
+}{
+	{lint.DirectiveAnalyzer, []string{"reprodirective"}},
+	{lint.DamchargeAnalyzer, []string{"damcharge", "histdam", "chargeamount", "histamount"}},
+	{lint.RlockpureAnalyzer, []string{"rlockpure", "histrlock"}},
+	{lint.BracketflowAnalyzer, []string{"bracketflow", "bracketbalance"}},
+	{lint.ScratchescapeAnalyzer, []string{"scratchescape"}},
+	{lint.DurerrAnalyzer, []string{"wal"}},
 }
 
-// TestDamchargeMidpointChain replays PR 6's hypothesis experiment E13:
-// a binary search that charged a synthetic, key-independent midpoint
-// chain while probing real cells. The probe path is not a declared
-// accessor, so damcharge fails it.
-func TestDamchargeMidpointChain(t *testing.T) {
-	linttest.Run(t, "testdata", lint.DamchargeAnalyzer, "histdam")
+// runCorpora runs a over each of its corpora as a subtest.
+func runCorpora(t *testing.T, a *analysis.Analyzer) {
+	for _, row := range corpora {
+		if row.a != a {
+			continue
+		}
+		for _, pkg := range row.pkgs {
+			t.Run(pkg, func(t *testing.T) { linttest.Run(t, "testdata", a, pkg) })
+		}
+		return
+	}
+	t.Fatalf("%s has no row in corpora", a.Name)
 }
 
-func TestRlockpure(t *testing.T) {
-	linttest.Run(t, "testdata", lint.RlockpureAnalyzer, "rlockpure")
-}
+func TestDirectiveSyntax(t *testing.T) { runCorpora(t, lint.DirectiveAnalyzer) }
+func TestDamcharge(t *testing.T)       { runCorpora(t, lint.DamchargeAnalyzer) }
+func TestRlockpure(t *testing.T)       { runCorpora(t, lint.RlockpureAnalyzer) }
+func TestBracketflow(t *testing.T)     { runCorpora(t, lint.BracketflowAnalyzer) }
+func TestScratchescape(t *testing.T)   { runCorpora(t, lint.ScratchescapeAnalyzer) }
+func TestDurerr(t *testing.T)          { runCorpora(t, lint.DurerrAnalyzer) }
 
-// TestRlockpureSyncdictRace replays PR 5's pre-fix syncdict: plain
-// counter increments on the RLock fast path.
-func TestRlockpureSyncdictRace(t *testing.T) {
-	linttest.Run(t, "testdata", lint.RlockpureAnalyzer, "histrlock")
-}
-
-func TestBracketbalance(t *testing.T) {
-	linttest.Run(t, "testdata", lint.BracketAnalyzer, "bracketbalance")
-}
-
-func TestScratchescape(t *testing.T) {
-	linttest.Run(t, "testdata", lint.ScratchescapeAnalyzer, "scratchescape")
-}
-
-func TestChargeamount(t *testing.T) {
-	linttest.Run(t, "testdata", lint.ChargeamountAnalyzer, "chargeamount")
-}
-
-// TestChargeamountMidpointChain replays PR 6's E13 repro from the
-// charge-amount side: the synthetic midpoint stream derives from no
-// probed position, so chargeamount re-catches the bug even where the
-// call-site rule (histdam) is satisfied by restructuring.
-func TestChargeamountMidpointChain(t *testing.T) {
-	linttest.Run(t, "testdata", lint.ChargeamountAnalyzer, "histamount")
-}
-
-func TestBracketflow(t *testing.T) {
-	linttest.Run(t, "testdata", lint.BracketflowAnalyzer, "bracketflow")
-}
-
-func TestDurerr(t *testing.T) {
-	linttest.Run(t, "testdata", lint.DurerrAnalyzer, "wal")
-}
-
-func TestDirectiveSyntax(t *testing.T) {
-	linttest.Run(t, "testdata", lint.DirectiveAnalyzer, "reprodirective")
+// TestEveryCorpusIsRun keeps the table honest: every analyzer of the
+// suite has exactly one row, and every package under testdata/src
+// except the standard-library stubs is some row's corpus, so renaming
+// or merging an analyzer cannot orphan a corpus.
+func TestEveryCorpusIsRun(t *testing.T) {
+	stubs := []string{"os", "sync", "sync/atomic"}
+	rows := make(map[*analysis.Analyzer]int)
+	listed := make(map[string]bool)
+	for _, row := range corpora {
+		rows[row.a]++
+		for _, pkg := range row.pkgs {
+			if listed[pkg] {
+				t.Errorf("corpus %s is listed twice", pkg)
+			}
+			listed[pkg] = true
+		}
+	}
+	for _, a := range lint.Suite() {
+		if rows[a] != 1 {
+			t.Errorf("analyzer %s has %d rows in corpora, want 1", a.Name, rows[a])
+		}
+	}
+	if len(rows) != len(lint.Suite()) {
+		t.Errorf("corpora has %d rows for a suite of %d analyzers", len(rows), len(lint.Suite()))
+	}
+	src := filepath.Join("testdata", "src")
+	pkgs := make(map[string]bool)
+	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		rel, err := filepath.Rel(src, filepath.Dir(path))
+		pkgs[filepath.ToSlash(rel)] = true
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pkg := range pkgs {
+		if !listed[pkg] && !slices.Contains(stubs, pkg) {
+			t.Errorf("testdata package %s is run by no analyzer: add it to corpora", pkg)
+		}
+	}
 }

@@ -1,285 +1,139 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
+	"slices"
 
 	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
+	"golang.org/x/tools/go/analysis/passes/ctrlflow"
+	"golang.org/x/tools/go/cfg"
+
+	"repro/internal/lint/flow"
 )
 
 // RlockpureAnalyzer enforces the mutation-free-accessor invariant:
-// code holding only the read side of an RWMutex, or running inside a
-// shared-read epoch, or belonging to a method declared
+// code that may hold the read side of an RWMutex, or run inside a
+// shared-read epoch, or that belongs to a method declared
 // //repro:readonly, must not mutate the receiver non-atomically.
-// Flagged inside such regions: assignments and ++/-- on receiver
-// fields (including map entries), and calls to same-package methods
-// that are known to mutate their receiver. Atomic counters
-// (atomic.Uint64 and friends) mutate through method calls and pass.
-// This is the analyzer that would have caught PR 5's pre-fix syncdict,
-// which bumped a plain counter under RLock.
+// Flagged there: assignments and ++/-- on receiver fields (including
+// map entries), and calls on the receiver to same-package methods that
+// mutate it, directly or through further such calls (a bottom-up call
+// summary). Atomic counters (atomic.Uint64 and friends) mutate through
+// method calls and pass. This is the analyzer that would have caught
+// syncdict's first shared-read fast path, which bumped a plain counter
+// under RLock.
+//
+// Read regions are bracketflow's balance dataflow: a statement is in
+// one when some RLock or BeginSharedReads key may be held both before
+// and after it. A deferred release does not end a region (the bracket
+// is held until the function returns), a helper's net bracket effect
+// opens or closes regions in its callers, and each closure is its own
+// frame. A //repro:readonly method is checked whole, once.
 var RlockpureAnalyzer = &analysis.Analyzer{
 	Name:       "rlockpure",
 	Doc:        "no receiver mutation under RLock, inside shared-read epochs, or in //repro:readonly methods",
-	Requires:   []*analysis.Analyzer{inspect.Analyzer},
+	Requires:   []*analysis.Analyzer{ctrlflow.Analyzer},
 	ResultType: waiverUsageType,
 	Run:        runRlockpure,
 }
 
-// readRegionPairs maps a region-opening call name to its closer.
-var readRegionPairs = map[string]string{
-	"RLock":            "RUnlock",
-	"BeginSharedReads": "EndSharedReads",
-}
-
 func runRlockpure(pass *analysis.Pass) (interface{}, error) {
 	dirs := collectDirectives(pass)
-	mutators := collectMutators(pass)
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	ins.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
-		fd := n.(*ast.FuncDecl)
-		if fd.Body == nil {
-			return
-		}
+	bc, g := newBracketCtx(pass)
+	mutators := flow.Summaries(g, func(a, b bool) bool { return a == b },
+		func(_ *types.Func, fd *ast.FuncDecl, get func(*types.Func) (bool, bool)) bool {
+			found := false
+			mutations(pass, fd.Body, receiverObject(pass, fd),
+				func(fn *types.Func) bool { m, _ := get(fn); return m },
+				func(ast.Node, string, ...any) { found = true })
+			return found
+		})
+	isMutator := func(fn *types.Func) bool { return mutators[fn] }
+
+	reported := make(map[token.Pos]bool) // a closure inside a region is checked twice
+	lat := bfLattice{bc: bc, holdDeferred: true}
+	for _, fn := range g.Funcs() {
+		fd := g.Decls[fn]
 		recv := receiverObject(pass, fd)
+		if recv == nil {
+			continue
+		}
+		check := func(n ast.Node, where string) {
+			mutations(pass, n, recv, isMutator, func(m ast.Node, format string, args ...any) {
+				if reported[m.Pos()] || dirs.allowed("rlockpure", m.Pos(), fd.Doc) {
+					return
+				}
+				reported[m.Pos()] = true
+				pass.Reportf(m.Pos(), format+" in %s", append(args, where)...)
+			})
+		}
 		if _, ok := funcDirective(fd, verbReadonly); ok {
-			checkPure(pass, fd, fd.Body.List, recv, mutators, dirs,
-				fmt.Sprintf("//repro:readonly method %s", fd.Name.Name))
+			check(fd.Body, "//repro:readonly method "+fd.Name.Name)
+			continue
 		}
-		findReadRegions(pass, fd, recv, mutators, dirs)
-	})
-	return dirs.usage, nil
-}
-
-// collectMutators maps "Type.Method" to true for every method of the
-// package that writes a receiver field directly, closed transitively
-// over same-type method calls (a method calling a mutator mutates).
-func collectMutators(pass *analysis.Pass) map[string]bool {
-	type methodInfo struct {
-		writes bool
-		calls  []string // "Type.Method" callees on the receiver
-	}
-	infos := make(map[string]methodInfo)
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Recv == nil || fd.Body == nil {
-				continue
-			}
-			recv := receiverObject(pass, fd)
-			if recv == nil {
-				continue
-			}
-			key := methodKey(pass, fd)
-			info := methodInfo{}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.AssignStmt:
-					for _, lhs := range n.Lhs {
-						if rootedAt(pass, lhs, recv) {
-							info.writes = true
-						}
-					}
-				case *ast.IncDecStmt:
-					if rootedAt(pass, n.X, recv) {
-						info.writes = true
-					}
-				case *ast.CallExpr:
-					if callee := methodCallee(pass, n); callee != "" {
-						if sel, ok := n.Fun.(*ast.SelectorExpr); ok && rootedAt(pass, sel.X, recv) {
-							info.calls = append(info.calls, callee)
-						}
-					}
-				}
-				return true
-			})
-			infos[key] = info
-		}
-	}
-	mutators := make(map[string]bool)
-	for key, info := range infos {
-		if info.writes {
-			mutators[key] = true
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for key, info := range infos {
-			if mutators[key] {
-				continue
-			}
-			for _, callee := range info.calls {
-				if mutators[callee] {
-					mutators[key] = true
-					changed = true
-					break
-				}
-			}
-		}
-	}
-	return mutators
-}
-
-// methodKey is "Type.Method" for a method declaration.
-func methodKey(pass *analysis.Pass, fd *ast.FuncDecl) string {
-	obj := pass.TypesInfo.Defs[fd.Name]
-	fn, ok := obj.(*types.Func)
-	if !ok {
-		return fd.Name.Name
-	}
-	return funcKey(fn)
-}
-
-// methodCallee resolves a call to "Type.Method" for same-package
-// method callees; "" otherwise.
-func methodCallee(pass *analysis.Pass, call *ast.CallExpr) string {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return ""
-	}
-	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() != pass.Pkg {
-		return ""
-	}
-	if fn.Signature().Recv() == nil {
-		return ""
-	}
-	return funcKey(fn)
-}
-
-// funcKey is "Type.Method" with pointers stripped from the receiver.
-func funcKey(fn *types.Func) string {
-	recv := fn.Signature().Recv()
-	if recv == nil {
-		return fn.Name()
-	}
-	t := recv.Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if named, ok := t.(*types.Named); ok {
-		return named.Obj().Name() + "." + fn.Name()
-	}
-	return fn.Name()
-}
-
-// findReadRegions locates RLock/RUnlock and Begin/EndSharedReads
-// brackets in every statement list of the function and purity-checks
-// the statements between them. A deferred closer extends the region to
-// the end of the enclosing list.
-func findReadRegions(pass *analysis.Pass, fd *ast.FuncDecl, recv types.Object, mut map[string]bool, dirs *dirIndex) {
-	var walk func(stmts []ast.Stmt)
-	walk = func(stmts []ast.Stmt) {
-		for i, stmt := range stmts {
-			if closer, recvStr, ok := regionOpen(stmt); ok {
-				end := len(stmts)
-				for j := i + 1; j < len(stmts); j++ {
-					if isCloser(stmts[j], closer, recvStr) {
-						// A direct closer ends the region; a deferred one
-						// holds the lock until the function returns, so the
-						// region runs to the end of the list.
-						if _, isDefer := stmts[j].(*ast.DeferStmt); !isDefer {
-							end = j
-						}
-						break
-					}
-				}
-				checkPure(pass, fd, stmts[i+1:end], recv, mut, dirs,
-					fmt.Sprintf("shared-read region (%s held)", recvStr))
-			}
-			// Recurse into nested blocks so brackets opened inside an if
-			// or loop body get their own region.
-			ast.Inspect(stmt, func(n ast.Node) bool {
-				if b, ok := n.(*ast.BlockStmt); ok && n != stmt {
-					walk(b.List)
-					return false
-				}
-				return true
-			})
-		}
-	}
-	walk(fd.Body.List)
-}
-
-// regionOpen reports whether stmt opens a read region: a call
-// x.RLock() or x.BeginSharedReads(). It returns the closer name and
-// the receiver expression string.
-func regionOpen(stmt ast.Stmt) (closer, recvStr string, ok bool) {
-	es, isExpr := stmt.(*ast.ExprStmt)
-	if !isExpr {
-		return "", "", false
-	}
-	call, isCall := es.X.(*ast.CallExpr)
-	if !isCall {
-		return "", "", false
-	}
-	sel, isSel := call.Fun.(*ast.SelectorExpr)
-	if !isSel {
-		return "", "", false
-	}
-	c, known := readRegionPairs[sel.Sel.Name]
-	if !known {
-		return "", "", false
-	}
-	return c, types.ExprString(sel.X), true
-}
-
-// isCloser reports whether stmt is x.<closer>() — directly or in a
-// defer — for the same receiver expression.
-func isCloser(stmt ast.Stmt, closer, recvStr string) bool {
-	var call *ast.CallExpr
-	switch s := stmt.(type) {
-	case *ast.ExprStmt:
-		call, _ = s.X.(*ast.CallExpr)
-	case *ast.DeferStmt:
-		call = s.Call
-	}
-	if call == nil {
-		return false
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	return sel.Sel.Name == closer && types.ExprString(sel.X) == recvStr
-}
-
-// checkPure flags non-atomic receiver mutation in the given statements.
-func checkPure(pass *analysis.Pass, fd *ast.FuncDecl, stmts []ast.Stmt, recv types.Object, mutators map[string]bool, dirs *dirIndex, where string) {
-	if recv == nil {
-		return
-	}
-	report := func(n ast.Node, format string, args ...any) {
-		if dirs.allowed("rlockpure", n.Pos(), fd.Doc) {
-			return
-		}
-		pass.Reportf(n.Pos(), format+" in %s", append(args, where)...)
-	}
-	for _, stmt := range stmts {
-		ast.Inspect(stmt, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.AssignStmt:
-				for _, lhs := range n.Lhs {
-					if rootedAt(pass, lhs, recv) {
-						report(n, "receiver field %s written non-atomically", types.ExprString(lhs))
-					}
-				}
-			case *ast.IncDecStmt:
-				if rootedAt(pass, n.X, recv) {
-					report(n, "receiver field %s mutated non-atomically", types.ExprString(n.X))
-				}
-			case *ast.CallExpr:
-				sel, ok := n.Fun.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				if callee := methodCallee(pass, n); callee != "" && mutators[callee] && rootedAt(pass, sel.X, recv) {
-					report(n, "call to mutating method %s", callee)
-				}
+		frames := []*cfg.CFG{bc.cfgs.FuncDecl(fd)}
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.FuncLit); ok {
+				frames = append(frames, bc.cfgs.FuncLit(lit))
 			}
 			return true
 		})
+		for _, frame := range frames {
+			flow.Forward[bfState](frame, lat).Walk(func(_ *cfg.Block, n ast.Node, before bfState) {
+				if recv := readHeld(before, lat.Transfer(lat.Clone(before), n)); recv != "" {
+					check(n, "shared-read region ("+recv+" held)")
+				}
+			})
+		}
 	}
+	return dirs.usage, nil
+}
+
+// readHeld returns the receiver of the first (by receiver) read
+// bracket — RLock or BeginSharedReads — that may be held both before
+// and after a node, or "" when none is.
+func readHeld(before, after bfState) string {
+	var held []string
+	for k, v := range before {
+		if (k.release == "RUnlock" || k.release == "EndSharedReads") && v.held() && after.get(k).held() {
+			held = append(held, k.recv)
+		}
+	}
+	if len(held) == 0 {
+		return ""
+	}
+	return slices.Min(held)
+}
+
+// mutations reports every non-atomic mutation of recv in n, closures
+// included: a write rooted at it, or a call on it to a same-package
+// method that mutates.
+func mutations(pass *analysis.Pass, n ast.Node, recv types.Object, mutates func(*types.Func) bool, report func(n ast.Node, format string, args ...any)) {
+	if recv == nil {
+		return
+	}
+	ast.Inspect(n, func(m ast.Node) bool {
+		switch m := m.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range m.Lhs {
+				if rootedAt(pass, lhs, recv) {
+					report(m, "receiver field %s written non-atomically", types.ExprString(lhs))
+				}
+			}
+		case *ast.IncDecStmt:
+			if rootedAt(pass, m.X, recv) {
+				report(m, "receiver field %s mutated non-atomically", types.ExprString(m.X))
+			}
+		case *ast.CallExpr:
+			sel, isSel := m.Fun.(*ast.SelectorExpr)
+			fn := flow.StaticCallee(pass.TypesInfo, m)
+			if isSel && fn != nil && fn.Pkg() == pass.Pkg && fn.Signature().Recv() != nil &&
+				rootedAt(pass, sel.X, recv) && mutates(fn.Origin()) {
+				report(m, "call to mutating method %s", types.ExprString(m.Fun))
+			}
+		}
+		return true
+	})
 }

@@ -1,4 +1,4 @@
-// Package bracketbalance exercises the acquire/release path checker:
+// Package bracketbalance exercises bracketflow on acquire/release paths:
 // every RLock/Lock/Begin* must release on all control-flow paths.
 package bracketbalance
 
@@ -34,7 +34,7 @@ func (s *store) deferred(stop bool) int {
 // leakyEarlyReturn releases on the fall-through path only; the early
 // return leaks the read lock.
 func (s *store) leakyEarlyReturn(stop bool) int {
-	s.mu.RLock() // want `s\.mu\.RLock\(\) is not matched by RUnlock on every path to return`
+	s.mu.RLock() // want `s\.mu may still be held at return \(RUnlock missing`
 	if stop {
 		return 0
 	}
@@ -58,7 +58,7 @@ func (s *store) branched(stop bool) int {
 // mismatched releases a different receiver's lock: the acquire never
 // balances.
 func (s *store) mismatched() int {
-	s.mu.RLock() // want `s\.mu\.RLock\(\) is not matched by RUnlock on every path to return`
+	s.mu.RLock() // want `s\.mu may still be held at return \(RUnlock missing`
 	n := s.n
 	s.other.mu.RUnlock()
 	return n
@@ -67,7 +67,7 @@ func (s *store) mismatched() int {
 // epochLeak opens a shared-read epoch and forgets to close it on the
 // early return; Begin*/End* pair generically.
 func (s *store) epochLeak(stop bool) int {
-	s.other.BeginSharedReads() // want `s\.other\.BeginSharedReads\(\) is not matched by EndSharedReads on every path to return`
+	s.other.BeginSharedReads() // want `s\.other may still be held at return \(EndSharedReads missing`
 	if stop {
 		return 0
 	}
@@ -89,7 +89,7 @@ func (s *store) deferredClosure() int {
 // handoff intentionally transfers the lock to another goroutine; the
 // waiver names the analyzer and explains.
 func (s *store) handoff() {
-	//repro:allow bracketbalance ownership transfers to the drain goroutine which unlocks
+	//repro:allow bracketflow ownership transfers to the drain goroutine which unlocks
 	s.mu.Lock()
 	go s.drain()
 }

@@ -1,7 +1,7 @@
-// Package bracketflow exercises the balance-as-dataflow checker: the
-// shapes bracketbalance's per-acquire path walk cannot see — releases
-// skipped on loop back edges and helpers whose net bracket effect is
-// conditional.
+// Package bracketflow exercises the balance-as-dataflow checker on the
+// shapes a per-acquire path walk cannot see — releases skipped on loop
+// back edges and helpers whose net bracket effect is conditional — and
+// on goroutine hand-offs.
 package bracketflow
 
 import "sync"
@@ -79,4 +79,47 @@ func (s *store) lockIf(cond bool) bool {
 func (s *store) forgetLockIf(cond bool) int {
 	s.lockIf(cond) // want `s\.mu may still be held at return`
 	return s.n
+}
+
+// goRelease hands the release itself to another goroutine: this frame
+// returns with the read lock held.
+func (s *store) goRelease() int {
+	s.mu.RLock() // want `s\.mu may still be held at return`
+	n := s.n
+	go s.mu.RUnlock()
+	return n
+}
+
+// unlock is a release-only helper: its -1 summary debits callers.
+func (s *store) unlock() { s.mu.Unlock() }
+
+// goUnlock hands the helper to another goroutine: its summary applies
+// to the spawned frame, not this one.
+func (s *store) goUnlock() {
+	s.mu.Lock() // want `s\.mu may still be held at return`
+	s.n++
+	go s.unlock()
+}
+
+// callUnlock calls the same helper in its own frame: clean.
+func (s *store) callUnlock() {
+	s.mu.Lock()
+	s.n++
+	s.unlock()
+}
+
+// unlockN releases the lock and reports what it guarded.
+func (s *store) unlockN() int {
+	n := s.n
+	s.mu.Unlock()
+	return n
+}
+
+func (s *store) consume(int) {}
+
+// goArgs spawns a goroutine whose argument is evaluated here, releasing
+// the lock in this frame: clean.
+func (s *store) goArgs() {
+	s.mu.Lock()
+	go s.consume(s.unlockN())
 }

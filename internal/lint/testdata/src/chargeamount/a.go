@@ -1,4 +1,4 @@
-// Package chargeamount exercises the charge-amount analyzer: inside a
+// Package chargeamount exercises damcharge's charge-amount rule: in a
 // declared charged accessor, the value fed to a charge call must be
 // derived from the positions the accessor actually probes — a probed
 // index, len/cap of accounted storage, the argument or result of a
@@ -67,11 +67,11 @@ func (l *level) chainSearch(key uint64) int {
 	return steps
 }
 
-// probeChainLen is the extracted probe loop (not itself a declared
-// accessor; damcharge's concern, not chargeamount's).
+// probeChainLen is the extracted probe loop. It is not itself a declared
+// accessor, so its probe is an uncharged access.
 func (l *level) probeChainLen(key uint64) int {
 	j := 0
-	for j < len(l.data) && l.data[j] < key {
+	for j < len(l.data) && l.data[j] < key { // want `indexes accounted storage outside a charged accessor`
 		j++
 	}
 	return j
@@ -123,7 +123,7 @@ func (l *level) chargeOnly(n int) {
 //repro:charges level.spc
 func (l *level) amortized(i int) uint64 {
 	v := l.data[i]
-	//repro:allow chargeamount amortized debit settled by the rebuild that follows
+	//repro:allow damcharge amortized debit settled by the rebuild that follows
 	l.spc.Read(4)
 	return v
 }

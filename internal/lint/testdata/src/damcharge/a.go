@@ -17,11 +17,11 @@ type level struct {
 	spc  *space
 }
 
-// get is a declared accessor that actually charges: clean.
+// get charges a constant, not the index it probes: the amount rule.
 //
 //repro:charges level.spc
 func (l *level) get(i int) entry {
-	l.spc.Read(1)
+	l.spc.Read(1) // want `charge call Read derives from no probed index`
 	return l.data[i]
 }
 

@@ -37,7 +37,7 @@ func (l *level) probeChain(key uint64) int {
 	lo, hi := 0, len(l.data)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if l.data[mid] < key {
+		if l.data[mid] < key { // want `indexes accounted storage outside a charged accessor`
 			lo = mid + 1
 		} else {
 			hi = mid

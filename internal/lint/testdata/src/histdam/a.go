@@ -25,7 +25,7 @@ type level struct {
 //repro:charges level.spc
 func (l *level) search(key uint64) int {
 	for n := len(l.data); n > 1; n /= 2 {
-		l.spc.Read(1) // synthetic: charges midpoints of [0,n), key-independent
+		l.spc.Read(1) // want `charge call Read derives from no probed index: search probes accounted cells elsewhere`
 	}
 	return l.probeChain(key)
 }

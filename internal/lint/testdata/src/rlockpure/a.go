@@ -33,7 +33,7 @@ func (d *dict) getClean(k uint64) (uint64, bool) {
 func (d *dict) getCounted(k uint64) (uint64, bool) {
 	d.mu.RLock()
 	d.hits++ // want `receiver field d\.hits mutated non-atomically in shared-read region`
-	d.bump() // want `call to mutating method dict\.bump in shared-read region`
+	d.bump() // want `call to mutating method d\.bump in shared-read region`
 	v, ok := d.m[k]
 	d.mu.RUnlock()
 	return v, ok
@@ -100,4 +100,47 @@ func (d *dict) waived(k uint64) uint64 {
 	//repro:allow rlockpure single-writer phase, promoted before concurrent readers exist
 	d.hits++
 	return d.m[k]
+}
+
+// eitherLock takes the read or the write side of the lock. On the read
+// path its write races other readers, so the write is flagged even
+// though no syntactic RLock...RUnlock pair encloses it.
+func (d *dict) eitherLock(fast bool) {
+	if fast {
+		d.mu.RLock()
+	} else {
+		d.mu.Lock()
+	}
+	d.gen++ // want `receiver field d\.gen mutated non-atomically in shared-read region \(d\.mu held\)`
+	if fast {
+		d.mu.RUnlock()
+	} else {
+		d.mu.Unlock()
+	}
+}
+
+// earlyOut releases inside a nested block before its early return, and
+// again on the fall-through path: both writes follow a release. Clean.
+func (d *dict) earlyOut(k uint64) uint64 {
+	d.mu.RLock()
+	if d.m == nil {
+		d.mu.RUnlock()
+		d.gen++
+		return 0
+	}
+	v := d.m[k]
+	d.mu.RUnlock()
+	d.gen++
+	return v
+}
+
+// Gen is read-only and read-locked: its write breaks both rules but is
+// one finding.
+//
+//repro:readonly
+func (d *dict) Gen() uint64 {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	d.gen++ // want `receiver field d\.gen mutated non-atomically in //repro:readonly method Gen`
+	return d.gen
 }
