@@ -5,7 +5,7 @@
 // instrumented for the Disk Access Machine cost model.
 //
 // This file is the public facade: it re-exports the element format, the
-// dictionary interfaces, and constructors for every structure, so a
+// dictionary interfaces, and the concrete type of every structure, so a
 // downstream user needs only this package.
 //
 //	store := repro.NewStore(4096, 64<<20)            // B = 4 KiB, M = 64 MiB
@@ -16,16 +16,14 @@
 //	v, ok := d.Search(42)
 //	fmt.Println(v, ok, store.Transfers())
 //
-// Build (registry.go) is the v2 construction surface: one named-builder
+// Build (registry.go) is the construction surface: one named-builder
 // registry over every structure, a unified option set (options.go), and
-// Kinds/Register for enumeration and external kinds. The typed v1
-// constructors below (NewCOLA, NewBTree, …) are deprecated veneers that
-// forward to Build and will be removed in v3; README's migration
-// appendix maps each one to its Build spelling and states the removal
-// schedule.
+// Kinds/Register for enumeration and external kinds. The type aliases
+// below name what each kind builds, for callers that assert a concrete
+// type.
 //
-// Pass a nil space to any constructor to disable cost accounting and
-// benchmark pure wall-clock behaviour.
+// Leave WithSpace out (or pass a nil space) to disable cost accounting
+// and benchmark pure wall-clock behaviour.
 package repro
 
 import (
@@ -64,7 +62,7 @@ type Statser = core.Statser
 // safe for concurrent use inside Begin/EndSharedReads brackets with
 // mutations excluded; the concurrency wrappers (sharded, synchronized,
 // durable) consult it to serve reads under their RWMutex's read side.
-// Probe with SharedReads, not a type assertion: wrappers and
+// Probe with CapsOf(d).SharedReads, not a type assertion: wrappers and
 // conditionally-safe structures implement the interface unconditionally
 // and answer honestly through the probe.
 type SharedReader = core.SharedReader
@@ -76,12 +74,6 @@ type SharedReader = core.SharedReader
 // no batch-native inner path beyond its own, a durable wrapper reports
 // WAL but never Snapshot, and SharedReads reflects the concrete inner.
 func CapsOf(d Dictionary) Caps { return core.CapsOf(d) }
-
-// SharedReads reports whether d genuinely supports shared reads.
-//
-// Deprecated: use CapsOf(d).SharedReads — one probe for all six
-// capabilities.
-func SharedReads(d Dictionary) bool { return core.CapsOf(d).SharedReads }
 
 // Store simulates a two-level DAM memory (block size B, cache size M)
 // and counts block transfers.
@@ -104,178 +96,42 @@ const DefaultBlockBytes = dam.DefaultBlockBytes
 // the paper); g = 2 is the cache-oblivious COLA.
 type COLA = cola.GCOLA
 
-// COLAOptions configures NewGCOLA.
-type COLAOptions = cola.Options
-
 // DefaultPointerDensity is the paper's experimental pointer density.
 const DefaultPointerDensity = cola.DefaultPointerDensity
-
-// NewCOLA returns the 2-COLA with the paper's default pointer density.
-//
-// Deprecated: use Build("cola", WithSpace(space)).
-func NewCOLA(space *Space) *COLA { return MustBuild("cola", WithSpace(space)).(*COLA) }
-
-// NewBasicCOLA returns the pointerless basic COLA (O(log^2 N) search).
-//
-// Deprecated: use Build("basic-cola", WithSpace(space)).
-func NewBasicCOLA(space *Space) *COLA { return MustBuild("basic-cola", WithSpace(space)).(*COLA) }
-
-// NewGCOLA returns a lookahead array with explicit growth factor and
-// pointer density (the paper's g-COLA). It panics where Build would
-// return an error, matching the v1 contract.
-//
-// Deprecated: use Build("gcola", WithGrowthFactor(g),
-// WithPointerDensity(p), WithSpace(space)).
-func NewGCOLA(opt COLAOptions) *COLA {
-	return MustBuild("gcola",
-		WithGrowthFactor(opt.Growth),
-		WithPointerDensity(opt.PointerDensity),
-		WithSpace(opt.Space)).(*COLA)
-}
 
 // DeamortizedCOLA is the basic deamortized COLA of Theorem 22: O(log N)
 // worst-case moves per insert.
 type DeamortizedCOLA = cola.Deamortized
 
-// NewDeamortizedCOLA returns an empty deamortized basic COLA.
-//
-// Deprecated: use Build("deamortized", WithSpace(space)).
-func NewDeamortizedCOLA(space *Space) *DeamortizedCOLA {
-	return MustBuild("deamortized", WithSpace(space)).(*DeamortizedCOLA)
-}
-
 // DeamortizedLookaheadCOLA is the fully deamortized COLA of Theorem 24
 // (shadow/visible arrays, lookahead pointers).
 type DeamortizedLookaheadCOLA = cola.DeamortizedLookahead
 
-// NewDeamortizedLookaheadCOLA returns an empty deamortized COLA with
-// lookahead pointers.
-//
-// Deprecated: use Build("deamortized-la", WithSpace(space)).
-func NewDeamortizedLookaheadCOLA(space *Space) *DeamortizedLookaheadCOLA {
-	return MustBuild("deamortized-la", WithSpace(space)).(*DeamortizedLookaheadCOLA)
-}
-
 // ShuttleTree is the paper's main theoretical structure (Section 2).
+// Build("cobtree") builds one with buffering disabled: the
+// cache-oblivious B-tree baseline.
 type ShuttleTree = shuttle.Tree
-
-// ShuttleOptions configures NewShuttleTree.
-type ShuttleOptions = shuttle.Options
-
-// NewShuttleTree returns an empty shuttle tree. It panics where Build
-// would return an error, matching the v1 contract.
-//
-// Deprecated: use Build("shuttle", WithFanout(c), WithSpace(space)).
-// A custom HFunc has no unified option; the two registered buffer
-// schedules are "shuttle" (ScaledH) and "cobtree" (no buffers).
-func NewShuttleTree(opt ShuttleOptions) *ShuttleTree {
-	if opt.HFunc != nil {
-		return shuttle.New(opt)
-	}
-	return MustBuild("shuttle",
-		WithFanout(opt.Fanout),
-		WithRelayoutEvery(opt.RelayoutEvery),
-		WithSpace(opt.Space)).(*ShuttleTree)
-}
 
 // BTree is the B+-tree baseline of the paper's Section 4 experiments.
 type BTree = btree.Tree
-
-// BTreeOptions configures NewBTree.
-type BTreeOptions = btree.Options
-
-// NewBTree returns an empty B+-tree (4 KiB blocks by default). Zero
-// fields keep their v1 defaults (Build derives the same ones).
-//
-// Deprecated: use Build("btree", WithBlockBytes(b), WithSpace(space)).
-func NewBTree(opt BTreeOptions) *BTree {
-	opts := []Option{WithSpace(opt.Space)}
-	if opt.BlockBytes != 0 {
-		opts = append(opts, WithBlockBytes(opt.BlockBytes))
-	}
-	if opt.LeafCapacity != 0 {
-		opts = append(opts, WithLeafCapacity(opt.LeafCapacity))
-	}
-	if opt.Fanout != 0 {
-		opts = append(opts, WithFanout(opt.Fanout))
-	}
-	return MustBuild("btree", opts...).(*BTree)
-}
 
 // BRT is the buffered repository tree, the cache-aware write-optimized
 // comparator referenced throughout the paper.
 type BRT = brt.Tree
 
-// BRTOptions configures NewBRT.
-type BRTOptions = brt.Options
-
-// NewBRT returns an empty buffered repository tree.
-//
-// Deprecated: use Build("brt", WithBlockBytes(b), WithSpace(space)).
-func NewBRT(opt BRTOptions) *BRT {
-	opts := []Option{WithSpace(opt.Space)}
-	if opt.BlockBytes != 0 {
-		opts = append(opts, WithBlockBytes(opt.BlockBytes))
-	}
-	return MustBuild("brt", opts...).(*BRT)
-}
-
 // LookaheadArray is the cache-aware lookahead array with growth factor
 // B^epsilon, matching the Be-tree tradeoff.
 type LookaheadArray = la.Array
 
-// LookaheadArrayOptions configures NewLookaheadArray.
-type LookaheadArrayOptions = la.Options
-
-// NewLookaheadArray returns a cache-aware lookahead array positioned at
-// epsilon on the insert/search tradeoff curve. It panics where Build
-// would return an error, matching the v1 contract.
-//
-// Deprecated: use Build("la", WithEpsilon(e), WithBlockBytes(b),
-// WithSpace(space)).
-func NewLookaheadArray(opt LookaheadArrayOptions) *LookaheadArray {
-	return MustBuild("la",
-		WithBlockBytes(int64(opt.BlockElems)*ElementBytes),
-		WithEpsilon(opt.Epsilon),
-		WithSpace(opt.Space)).(*LookaheadArray)
-}
-
 // SWBST is the strongly weight-balanced search tree substrate (the
 // shuttle tree's skeleton), exposed for direct use.
 type SWBST = swbst.Tree
-
-// SWBSTOptions configures NewSWBST.
-type SWBSTOptions = swbst.Options
-
-// NewSWBST returns an empty strongly weight-balanced search tree.
-//
-// Deprecated: use Build("swbst", WithFanout(c)).
-func NewSWBST(opt SWBSTOptions) *SWBST { return MustBuild("swbst", WithFanout(opt.Fanout)).(*SWBST) }
-
-// NewCOBTree returns the cache-oblivious B-tree baseline (Bender,
-// Demaine, Farach-Colton): the shuttle machinery with buffering
-// disabled — a strongly weight-balanced tree in a van Emde Boas layout
-// embedded in a packed-memory array. Searches cost O(log_{B+1} N)
-// transfers like the shuttle tree's; inserts pay the full leaf-path
-// cost the shuttle tree's buffers amortize away.
-//
-// Deprecated: use Build("cobtree", WithFanout(fanout),
-// WithSpace(space)).
-func NewCOBTree(fanout int, space *Space) *ShuttleTree {
-	return MustBuild("cobtree", WithFanout(fanout), WithSpace(space)).(*ShuttleTree)
-}
 
 // ShardedMap is the hash-partitioned concurrent dictionary: N
 // single-threaded structures behind per-shard locks, so operations on
 // different shards run in parallel and a merge in one shard never
 // blocks the others. It implements Dictionary, Deleter, and Statser.
 type ShardedMap = shard.Map
-
-// ShardOption is the former option type of NewShardedMap; the sharded
-// map now shares the unified Option set of Build.
-//
-// Deprecated: use Option.
-type ShardOption = Option
 
 // ShardFactory builds the dictionary for one shard; the space is the
 // shard's private DAM space (nil when accounting is disabled). Used
@@ -286,22 +142,3 @@ type ShardFactory = shard.Factory
 // ShardLoader is the channel-fed asynchronous ingestion path of a
 // ShardedMap; see ShardedMap.NewLoader.
 type ShardLoader = shard.Loader
-
-// NewShardedMap builds a sharded concurrent dictionary. With no options
-// it partitions a 2-COLA per shard across the next power of two >=
-// GOMAXPROCS shards, with DAM accounting disabled:
-//
-//	m := repro.NewShardedMap(
-//		repro.WithShards(8),
-//		repro.WithInner("btree"),
-//		repro.WithBatchSize(512),
-//	)
-//
-// It takes the same unified options as Build("sharded", ...) and panics
-// where Build would return an error.
-//
-// Deprecated: use Build("sharded", ...).
-func NewShardedMap(opts ...Option) *ShardedMap {
-	d := MustBuild("sharded", opts...)
-	return d.(*ShardedMap)
-}

@@ -70,8 +70,8 @@ const (
 
 func main() {
 	var (
-		fig        = flag.String("fig", "all", "which figure to regenerate: 2, 3, 4, 5, ratios, transfers, deamortized, scans, shuttle, concurrent, readmostly, durability, scenarios, serve, outofcore, all")
-		dict       = flag.String("dict", "", "comma-separated structure lineup for -fig 2/3/4/scenarios (registered kinds or figure names; see -list)")
+		fig        = flag.String("fig", "all", "which figure to regenerate: "+figureNames(", ", false)+", all")
+		dict       = flag.String("dict", "", "comma-separated structure lineup for -fig "+figureNames("/", true)+" (registered kinds or figure names; see -list)")
 		scenario   = flag.String("scenario", "", "comma-separated scenario specs (skew+arrival+mix, e.g. zipf1.2+bursty+95r5w) for -fig scenarios; implies it when -fig is unset")
 		hyp        = flag.String("hypothesis", "", "run one experiment bundle by name and exit 0 confirmed / 1 falsified (see internal/hypothesis)")
 		list       = flag.Bool("list", false, "list the registered dictionary kinds with their options and exit")
@@ -205,19 +205,21 @@ func main() {
 		if figName == "all" && !figExplicit {
 			figName = "2" // default experiment for a custom lineup
 		}
-		switch figName {
-		case "2", "3", "4", "scenarios":
-		default:
-			fmt.Fprintf(os.Stderr, "-dict applies to -fig 2/3/4/scenarios only (got -fig %q)\n", *fig)
-			os.Exit(2)
-		}
 	}
-	switch figName {
-	case "2", "3", "4", "5", "ratios", "transfers", "deamortized", "scans", "shuttle", "concurrent", "readmostly", "durability", "scenarios", "serve", "outofcore", "all":
-	default:
+	figure, known := harness.LookupFigure(figName)
+	if lineup != nil && (!known || figure.Lineup == nil) {
+		fmt.Fprintf(os.Stderr, "-dict applies to -fig %s only (got -fig %q)\n", figureNames("/", true), *fig)
+		os.Exit(2)
+	}
+	if !known && figName != "all" {
 		fmt.Fprintf(os.Stderr, "unknown -fig %q\n", *fig)
 		flag.Usage()
 		os.Exit(2)
+	}
+	if scenarioSpecs != nil {
+		figure.Run = func(c harness.Config, lineup []string) ([]harness.Result, error) {
+			return c.ScenariosFor(lineup, scenarioSpecs)
+		}
 	}
 
 	// Open the perf output only now — after every flag has validated —
@@ -236,93 +238,25 @@ func main() {
 	}
 
 	var results []harness.Result
-	switch figName {
-	case "2":
-		if lineup != nil {
-			results = cfg.Figure2For(lineup)
-		} else {
-			results = cfg.Figure2()
-		}
-	case "3":
-		if lineup != nil {
-			results = cfg.Figure3For(lineup)
-		} else {
-			results = cfg.Figure3()
-		}
-	case "4":
-		if lineup != nil {
-			results = cfg.Figure4For(lineup)
-		} else {
-			results = cfg.Figure4()
-		}
-	case "5":
-		results = cfg.Figure5()
-	case "ratios":
-		results = []harness.Result{cfg.Ratios()}
-	case "transfers":
-		results = []harness.Result{cfg.Transfers()}
-	case "deamortized":
-		results = []harness.Result{cfg.Deamortized()}
-	case "scans":
-		results = []harness.Result{cfg.RangeScans()}
-	case "shuttle":
-		results = []harness.Result{cfg.Shuttle()}
-	case "concurrent":
-		results = []harness.Result{cfg.Concurrent()}
-	case "readmostly":
-		results = []harness.Result{cfg.ReadMostly()}
-	case "durability":
-		results = []harness.Result{cfg.Durability()}
-	case "scenarios":
-		specs := scenarioSpecs
-		if specs == nil {
-			specs = harness.DefaultScenarioGrid()
-		}
-		names := lineup
-		if names == nil {
-			names = harness.DefaultScenarioLineup()
-		}
-		var err error
-		results, err = cfg.ScenariosFor(names, specs)
-		if err != nil {
-			// Specs and lineup validated above, so this is a structural
-			// mismatch (e.g. a delete-bearing mix over a structure with no
-			// Deleter) — a usage error, caught before any report is written.
-			if jsonTmp != nil {
-				jsonTmp.Close()
-				os.Remove(jsonTmp.Name())
-			}
-			fmt.Fprintf(os.Stderr, "-fig scenarios: %v\n", err)
-			os.Exit(2)
-		}
-	case "outofcore":
-		var err error
-		results, err = cfg.OutOfCore()
-		if err != nil {
-			if jsonTmp != nil {
-				jsonTmp.Close()
-				os.Remove(jsonTmp.Name())
-			}
-			fmt.Fprintf(os.Stderr, "-fig outofcore: %v\n", err)
-			os.Exit(1)
-		}
-	case "serve":
-		r, err := cfg.Serve()
-		if err != nil {
-			if jsonTmp != nil {
-				jsonTmp.Close()
-				os.Remove(jsonTmp.Name())
-			}
-			fmt.Fprintf(os.Stderr, "-fig serve: %v\n", err)
-			os.Exit(1)
-		}
-		results = []harness.Result{r}
-	case "all":
+	if figName == "all" {
 		results = cfg.All()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -fig %q\n", *fig)
-		flag.Usage()
-		os.Exit(2)
+	} else {
+		var err error
+		if results, err = figure.Results(cfg, lineup); err != nil {
+			if jsonTmp != nil {
+				jsonTmp.Close()
+				os.Remove(jsonTmp.Name())
+			}
+			fmt.Fprintf(os.Stderr, "-fig %s: %v\n", figName, err)
+			// Specs and lineup validated above, so a scenarios failure is
+			// a structural mismatch (e.g. a delete-bearing mix over a
+			// structure with no Deleter) — a usage error, caught before any
+			// report is written.
+			if figName == "scenarios" {
+				os.Exit(2)
+			}
+			os.Exit(1)
+		}
 	}
 	for _, r := range results {
 		if *csv {
@@ -351,6 +285,18 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "wrote %d perf records to %s\n", len(rep.Results), *jsonPath)
 	}
+}
+
+// figureNames joins the names of the harness figures, or of just those
+// that run over a -dict lineup.
+func figureNames(sep string, lineupOnly bool) string {
+	var names []string
+	for _, f := range harness.Figures() {
+		if !lineupOnly || f.Lineup != nil {
+			names = append(names, f.Name)
+		}
+	}
+	return strings.Join(names, sep)
 }
 
 // printKinds renders the registry: every kind, its one-line doc, the

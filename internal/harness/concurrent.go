@@ -17,41 +17,39 @@ import (
 	"repro/internal/core"
 	"repro/internal/dam"
 	"repro/internal/shard"
+	"repro/internal/syncdict"
 	"repro/internal/workload"
 )
 
-// lockedDict is the global-mutex baseline, mirroring the repo's
-// SynchronizedDictionary (which lives in the facade package and cannot
-// be imported from here without a cycle). The lock is exclusive for
-// every operation because searches mutate structure counters.
-type lockedDict struct {
-	mu sync.Mutex
-	d  core.Dictionary
+// exclusiveInner hides a dictionary's SharedReader methods, so a
+// wrapper probing core.AsSharedReader falls back to exclusive locking —
+// the honest reconstruction of the pre-shared-read baseline on the very
+// same structure.
+type exclusiveInner struct {
+	core.Dictionary
 }
 
-func (l *lockedDict) Insert(key, value uint64) {
-	l.mu.Lock()
-	l.d.Insert(key, value)
-	l.mu.Unlock()
-}
-
-func (l *lockedDict) Search(key uint64) (uint64, bool) {
-	l.mu.Lock()
-	v, ok := l.d.Search(key)
-	l.mu.Unlock()
-	return v, ok
-}
-
-// concurrentDict is what the scenario drives: both contenders satisfy
-// it.
-type concurrentDict interface {
-	Insert(key, value uint64)
-	Search(key uint64) (uint64, bool)
+// guarded builds the concurrent front E10 and E12 measure, with DAM
+// accounting off: a 2-COLA per shard behind a map of the given shard
+// count, or, for shards == 0, one 2-COLA behind the synchronized
+// wrapper's single lock. exclusive hides the COLA's shared-read support,
+// so every search takes its lock exclusively.
+func guarded(shards int, exclusive bool) core.Dictionary {
+	inner := func(_ int, sp *dam.Space) core.Dictionary {
+		if exclusive {
+			return exclusiveInner{cola.NewCOLA(sp)}
+		}
+		return cola.NewCOLA(sp)
+	}
+	if shards == 0 {
+		return syncdict.New(inner(0, nil))
+	}
+	return shard.New(shard.WithShards(shards), shard.WithDictionary(inner))
 }
 
 // driveInserts runs workers goroutines, each inserting per-worker
 // distinct keys, and returns aggregate inserts/second.
-func driveInserts(d concurrentDict, workers, perWorker int, seed uint64) float64 {
+func driveInserts(d core.Dictionary, workers, perWorker int, seed uint64) float64 {
 	var wg sync.WaitGroup
 	start := time.Now()
 	for w := 0; w < workers; w++ {
@@ -75,7 +73,7 @@ func driveInserts(d concurrentDict, workers, perWorker int, seed uint64) float64
 
 // driveSearches runs workers goroutines probing the preloaded keyspace
 // and returns aggregate searches/second.
-func driveSearches(d concurrentDict, workers, perWorker int, seed uint64) float64 {
+func driveSearches(d core.Dictionary, workers, perWorker int, seed uint64) float64 {
 	var wg sync.WaitGroup
 	start := time.Now()
 	for w := 0; w < workers; w++ {
@@ -107,26 +105,17 @@ func (c Config) Concurrent() Result {
 	n := 1 << c.LogN
 	scales := []int{1, 2, 4, 8}
 
-	mkSharded := func(shards int) *shard.Map {
-		return shard.New(
-			shard.WithShards(shards),
-			shard.WithDictionary(func(_ int, sp *dam.Space) core.Dictionary {
-				return cola.NewCOLA(sp)
-			}),
-		)
-	}
-
 	var shIns, muIns, shSrch, muSrch Series
 	for _, g := range scales {
 		perWorker := n / g
 
-		sharded := mkSharded(g)
+		sharded := guarded(g, false)
 		shIns.X = append(shIns.X, float64(g))
 		shIns.Y = append(shIns.Y, driveInserts(sharded, g, perWorker, c.Seed))
 		shSrch.X = append(shSrch.X, float64(g))
 		shSrch.Y = append(shSrch.Y, driveSearches(sharded, g, perWorker, c.Seed))
 
-		locked := &lockedDict{d: cola.NewCOLA(nil)}
+		locked := guarded(0, true)
 		muIns.X = append(muIns.X, float64(g))
 		muIns.Y = append(muIns.Y, driveInserts(locked, g, perWorker, c.Seed))
 		muSrch.X = append(muSrch.X, float64(g))

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"time"
@@ -96,21 +97,108 @@ type dict struct {
 	d         core.Dictionary
 	store     *dam.Store
 	transfers func() uint64
+	// files are the temporary files and directories the build created
+	// (a WAL and its checkpoint, a spill directory); close removes them.
+	files []string
 }
 
-// dropCache / resetCounters act on the private store when there is one
-// and are no-ops otherwise (self-accounted structures expose no cache
-// control; their search measurements run warm).
-func (b dict) dropCache() {
+// cold starts a measurement phase: it drops every cache the entry has —
+// the private store's, a spilled gcola's page cache — and zeroes their
+// counters. Self-accounted structures expose no cache control; their
+// phases run warm, and sweep measures them as deltas.
+func (b dict) cold() {
 	if b.store != nil {
 		b.store.DropCache()
+		b.store.ResetCounters()
+	}
+	if sp, ok := b.d.(interface {
+		DropSpillCache()
+		ResetSpillCounters()
+	}); ok {
+		sp.DropSpillCache()
+		sp.ResetSpillCounters()
 	}
 }
 
-func (b dict) resetCounters() {
-	if b.store != nil {
-		b.store.ResetCounters()
+// close ends the entry's measurement: it closes the structure if it
+// holds open files and removes the files its build created.
+func (b dict) close() {
+	if c, ok := b.d.(io.Closer); ok {
+		_ = c.Close() // the files are removed next; nothing is read back
 	}
+	for _, f := range b.files {
+		os.RemoveAll(f)
+	}
+}
+
+// inserts returns the operation that inserts seq's next key, with the
+// key as its value.
+func (b dict) inserts(seq workload.Sequence) func() {
+	return func() {
+		k := seq.Next()
+		b.d.Insert(k, k)
+	}
+}
+
+// load inserts seq's next n keys.
+func (b dict) load(seq workload.Sequence, n int) {
+	insert := b.inserts(seq)
+	for i := 0; i < n; i++ {
+		insert()
+	}
+}
+
+// probe inserts seq's next n keys, then runs k searches from a cold
+// cache for the keys key draws. It returns transfers per insert,
+// searches per second and transfers per search.
+func (b dict) probe(seq workload.Sequence, n, k int, key func() uint64) (insertT, searchRate, searchT float64) {
+	_, ins := sweep([]int{n}, b.inserts(seq), b.transfers)
+	b.cold()
+	rate, srch := sweep([]int{k}, func() { b.d.Search(key()) }, b.transfers)
+	return ins[0][0], rate[0], srch[0][0]
+}
+
+// sweep runs op until it has run ends[i] times, for each i in turn, and
+// records for the window since the previous end (the first window
+// starts at zero) the wall-clock operations per second and each
+// counter's growth per operation: perOp[j][i] is counter j over window
+// i.
+func sweep(ends []int, op func(), counters ...func() uint64) (rate []float64, perOp [][]float64) {
+	perOp = make([][]float64, len(counters))
+	last := make([]uint64, len(counters))
+	for j, count := range counters {
+		last[j] = count()
+	}
+	done, lastTime := 0, time.Now()
+	for _, end := range ends {
+		window := float64(end - done)
+		for ; done < end; done++ {
+			op()
+		}
+		now := time.Now()
+		el := now.Sub(lastTime).Seconds()
+		if el <= 0 {
+			el = 1e-9
+		}
+		rate = append(rate, window/el)
+		for j, count := range counters {
+			v := count()
+			perOp[j] = append(perOp[j], float64(v-last[j])/window)
+			last[j] = v
+		}
+		lastTime = now
+	}
+	return rate, perOp
+}
+
+// checkpoints returns the power-of-two sweep ends 2^lo, 2^(lo+1), … up
+// to limit, with their exponents as the x values.
+func checkpoints(lo, limit int) (xs []float64, ends []int) {
+	for lg := lo; 1<<lg <= limit; lg++ {
+		xs = append(xs, float64(lg))
+		ends = append(ends, 1<<lg)
+	}
+	return xs, ends
 }
 
 // legacySpec maps one of the figures' display names to its registry
@@ -173,18 +261,14 @@ func ValidateLineup(names []string) error {
 	return nil
 }
 
-// buildNamed constructs one lineup entry — a legacy display name or any
+// buildWith constructs one lineup entry — a legacy display name or any
 // registered kind with its defaults — wired to this config's DAM
-// geometry wherever the kind supports accounting.
-func (c Config) buildNamed(name string) (dict, error) {
-	return c.buildWith(name, nil)
-}
-
-// buildWith is buildNamed with extra registry options appended after
-// the name-derived ones (later options win), so callers — the
-// hypothesis bundles' control arms in particular — can perturb a lineup
-// entry ("2-COLA" with its lookahead pointers fragmented) without
-// inventing a new display name.
+// geometry wherever the kind supports accounting. Extra registry
+// options are appended after the name-derived ones (later options win),
+// so callers — the hypothesis bundles' control arms in particular — can
+// perturb a lineup entry ("2-COLA" with its lookahead pointers
+// fragmented) without inventing a new display name. The caller closes
+// the entry.
 func (c Config) buildWith(name string, extra []registry.Option) (dict, error) {
 	c = c.withDefaults()
 	if err := ValidateLineup([]string{name}); err != nil {
@@ -202,20 +286,19 @@ func (c Config) buildWith(name string, extra []registry.Option) (dict, error) {
 	}
 	opts = append(opts, extra...)
 
+	b := dict{name: name}
 	// The durable wrapper is lineup-able like everything else (putting a
 	// WAL under a figure measures the logging overhead directly); each
-	// build gets a fresh temp log. The files live until the OS cleans
-	// its temp dir — figure runs are short-lived processes.
+	// build logs to a fresh temp directory, which close removes.
 	if registry.Accepts(kind, registry.OptWALPath) {
-		f, err := os.CreateTemp("", "streambench-*.wal")
+		dir, err := os.MkdirTemp("", "streambench-")
 		if err != nil {
 			return dict{}, err
 		}
-		f.Close()
-		opts = append(opts, registry.WithWALPath(f.Name()))
+		b.files = append(b.files, dir)
+		opts = append(opts, registry.WithWALPath(filepath.Join(dir, "log.wal")))
 	}
 
-	b := dict{name: name}
 	switch {
 	case registry.Accepts(kind, registry.OptSpace):
 		b.store = dam.NewStore(c.BlockBytes, c.CacheBytes)
@@ -227,6 +310,7 @@ func (c Config) buildWith(name string, extra []registry.Option) (dict, error) {
 
 	d, err := registry.Build(kind, opts...)
 	if err != nil {
+		b.close()
 		return dict{}, err
 	}
 	b.d = d
@@ -240,69 +324,40 @@ func (c Config) buildWith(name string, extra []registry.Option) (dict, error) {
 	return b, nil
 }
 
-// builders constructs the structure lineup for a figure, each entry
-// with its own accounting. It panics on an unknown name or invalid
-// build; lineup flags validate with ValidateLineup first.
-func (c Config) builders(names []string) []dict {
-	out := make([]dict, 0, len(names))
+// each builds the named lineup entries one at a time, with any extra
+// options, hands each to measure and closes it once measure returns. It
+// panics on a name that fails to build: lineup flags validate with
+// ValidateLineup first.
+func (c Config) each(names []string, measure func(b dict), extra ...registry.Option) {
 	for _, name := range names {
-		b, err := c.buildNamed(name)
+		b, err := c.buildWith(name, extra)
 		if err != nil {
 			panic("harness: " + err.Error())
 		}
-		out = append(out, b)
+		measure(b)
+		b.close()
 	}
-	return out
 }
 
 // insertSweep drives seq into each structure, recording, at every
 // power-of-two checkpoint, the insert rate and transfers/insert over the
 // window since the previous checkpoint.
 func (c Config) insertSweep(names []string, mkSeq func() workload.Sequence) (rates, transfers []Series) {
-	for _, b := range c.builders(names) {
-		seq := mkSeq()
-		var xs, ys, ts []float64
-		done := 0
-		lastTransfers := uint64(0)
-		lastTime := time.Now()
-		for lg := c.LogNStart; lg <= c.LogN; lg++ {
-			target := 1 << lg
-			for done < target {
-				k := seq.Next()
-				b.d.Insert(k, k)
-				done++
-			}
-			now := time.Now()
-			window := float64(target - (1 << lg / 2))
-			if lg == c.LogNStart {
-				window = float64(target)
-			}
-			el := now.Sub(lastTime).Seconds()
-			if el <= 0 {
-				el = 1e-9
-			}
-			xs = append(xs, float64(lg))
-			ys = append(ys, window/el)
-			tr := b.transfers()
-			ts = append(ts, float64(tr-lastTransfers)/window)
-			lastTransfers = tr
-			lastTime = now
-		}
-		rates = append(rates, Series{Name: b.name, X: xs, Y: ys})
-		transfers = append(transfers, Series{Name: b.name, X: xs, Y: ts})
-	}
+	xs, ends := checkpoints(c.LogNStart, 1<<c.LogN)
+	c.each(names, func(b dict) {
+		rate, perOp := sweep(ends, b.inserts(mkSeq()), b.transfers)
+		rates = append(rates, Series{Name: b.name, X: xs, Y: rate})
+		transfers = append(transfers, Series{Name: b.name, X: xs, Y: perOp[0]})
+	})
 	return rates, transfers
 }
 
-// Figure2 regenerates "COLA vs B-tree (Random Inserts)" with the
-// paper's lineup.
-func (c Config) Figure2() []Result {
-	return c.Figure2For([]string{"2-COLA", "4-COLA", "8-COLA", "B-tree"})
-}
+// paperLineup is the structure lineup of the paper's Figures 2–4.
+var paperLineup = []string{"2-COLA", "4-COLA", "8-COLA", "B-tree"}
 
 // Figure2For runs the Figure 2 experiment — random unique inserts,
-// wall-clock rate and DAM transfers per checkpoint window — over an
-// arbitrary lineup of figure names or registered kinds.
+// wall-clock rate and DAM transfers per checkpoint window — over a
+// lineup of figure names or registered kinds.
 func (c Config) Figure2For(names []string) []Result {
 	c = c.withDefaults()
 	rates, transfers := c.insertSweep(
@@ -330,15 +385,9 @@ func (c Config) Figure2For(names []string) []Result {
 	}
 }
 
-// Figure3 regenerates "COLA vs B-tree (Sorted Inserts)" — keys inserted
-// in descending order, the B-tree's best case — with the paper's
-// lineup.
-func (c Config) Figure3() []Result {
-	return c.Figure3For([]string{"2-COLA", "4-COLA", "8-COLA", "B-tree"})
-}
-
-// Figure3For runs the Figure 3 experiment (descending-key inserts) over
-// an arbitrary lineup.
+// Figure3For runs the Figure 3 experiment, "COLA vs B-tree (Sorted
+// Inserts)" — keys inserted in descending order, the B-tree's best
+// case — over a lineup.
 func (c Config) Figure3For(names []string) []Result {
 	c = c.withDefaults()
 	n := uint64(1) << c.LogN
@@ -363,65 +412,27 @@ func (c Config) Figure3For(names []string) []Result {
 	}
 }
 
-// Figure4 regenerates "COLA vs B-tree (Random Searches)": load with
-// descending keys (as the paper's Figure 3 data), drop the cache, then
-// measure searches — with the paper's lineup.
-func (c Config) Figure4() []Result {
-	return c.Figure4For([]string{"2-COLA", "4-COLA", "8-COLA", "B-tree"})
-}
-
-// Figure4For runs the Figure 4 experiment (random searches after a
-// sorted load, cold cache) over an arbitrary lineup.
+// Figure4For runs the Figure 4 experiment, "COLA vs B-tree (Random
+// Searches)": load with descending keys (as the paper's Figure 3 data),
+// drop the cache, then measure searches — over a lineup.
 func (c Config) Figure4For(names []string) []Result {
 	c = c.withDefaults()
 	n := uint64(1) << c.LogN
-	var rate, transfers []Series
-	for _, b := range c.builders(names) {
-		seq := workload.NewDescending(n)
-		for i := uint64(0); i < n; i++ {
-			k := seq.Next()
-			b.d.Insert(k, k)
-		}
-		b.dropCache()
-		b.resetCounters()
+	xs, ends := checkpoints(0, c.Searches)
+	var rates, transfers []Series
+	c.each(names, func(b dict) {
+		b.load(workload.NewDescending(n), int(n))
+		b.cold()
 		probe := workload.NewRNG(c.Seed + 1)
-		var xs, ys, ts []float64
-		doneSearches := 0
-		// Baseline AFTER the load: resetCounters is a no-op for
-		// self-accounted kinds (per-shard stores), so starting from zero
-		// would fold the whole load phase into the first search window.
-		lastTransfers := b.transfers()
-		lastTime := time.Now()
-		for lg := 0; (1 << lg) <= c.Searches; lg++ {
-			target := 1 << lg
-			for doneSearches < target {
-				b.d.Search(probe.Uint64() % n)
-				doneSearches++
-			}
-			window := float64(target)
-			if lg > 0 {
-				window = float64(target - target/2)
-			}
-			now := time.Now()
-			el := now.Sub(lastTime).Seconds()
-			if el <= 0 {
-				el = 1e-9
-			}
-			xs = append(xs, float64(lg))
-			ys = append(ys, window/el)
-			tr := b.transfers()
-			ts = append(ts, float64(tr-lastTransfers)/window)
-			lastTransfers = tr
-			lastTime = now
-		}
-		rate = append(rate, Series{Name: b.name, X: xs, Y: ys})
-		transfers = append(transfers, Series{Name: b.name, X: xs, Y: ts})
-	}
+		rate, perOp := sweep(ends, func() { b.d.Search(probe.Uint64() % n) }, b.transfers)
+		rates = append(rates, Series{Name: b.name, X: xs, Y: rate})
+		transfers = append(transfers, Series{Name: b.name, X: xs, Y: perOp[0]})
+	})
 	return []Result{
 		{
 			Title:  "Figure 4 — random searches after sorted load (wall clock)",
 			XLabel: "log2 searches", YLabel: "avg searches/second (window)",
-			Series: rate,
+			Series: rates,
 			Notes: []string{
 				"Paper: 4-COLA performs 2^15 searches 3.5x slower than the B-tree; early searches are slow on a cold cache.",
 			},
@@ -479,44 +490,33 @@ func (c Config) Figure5() []Result {
 // between structures at the largest N.
 func (c Config) Ratios() Result {
 	c = c.withDefaults()
-	n := uint64(1) << c.LogN
+	n := 1 << c.LogN
+	un := uint64(n)
 
-	run := func(name string, seq workload.Sequence) (opsPerSec float64, transfersPerOp float64) {
-		b := c.builders([]string{name})[0]
-		start := time.Now()
-		for i := uint64(0); i < n; i++ {
-			k := seq.Next()
-			b.d.Insert(k, k)
-		}
-		el := time.Since(start).Seconds()
-		return float64(n) / el, float64(b.transfers()) / float64(n)
+	run := func(name string, seq workload.Sequence) (opsPerSec, transfersPerOp float64) {
+		c.each([]string{name}, func(b dict) {
+			rate, perOp := sweep([]int{n}, b.inserts(seq), b.transfers)
+			opsPerSec, transfersPerOp = rate[0], perOp[0][0]
+		})
+		return opsPerSec, transfersPerOp
 	}
-	searchRun := func(name string) (opsPerSec float64, transfersPerOp float64) {
-		b := c.builders([]string{name})[0]
-		seq := workload.NewDescending(n)
-		for i := uint64(0); i < n; i++ {
-			k := seq.Next()
-			b.d.Insert(k, k)
-		}
-		b.dropCache()
-		b.resetCounters()
-		probe := workload.NewRNG(c.Seed + 1)
-		start := time.Now()
-		for i := 0; i < c.Searches; i++ {
-			b.d.Search(probe.Uint64() % n)
-		}
-		el := time.Since(start).Seconds()
-		return float64(c.Searches) / el, float64(b.transfers()) / float64(c.Searches)
+	searchRun := func(name string) (opsPerSec, transfersPerOp float64) {
+		rng := workload.NewRNG(c.Seed + 1)
+		c.each([]string{name}, func(b dict) {
+			_, opsPerSec, transfersPerOp = b.probe(workload.NewDescending(un), n, c.Searches,
+				func() uint64 { return rng.Uint64() % un })
+		})
+		return opsPerSec, transfersPerOp
 	}
 
 	colaRandW, colaRandT := run("2-COLA", workload.NewRandomUnique(c.Seed))
 	btRandW, btRandT := run("B-tree", workload.NewRandomUnique(c.Seed))
-	cola4SortW, cola4SortT := run("4-COLA", workload.NewDescending(n))
-	btSortW, btSortT := run("B-tree", workload.NewDescending(n))
+	cola4SortW, cola4SortT := run("4-COLA", workload.NewDescending(un))
+	btSortW, btSortT := run("B-tree", workload.NewDescending(un))
 	colaSearchW, colaSearchT := searchRun("4-COLA")
 	btSearchW, btSearchT := searchRun("B-tree")
 	ascW, _ := run("4-COLA", workload.NewAscending())
-	descW, _ := run("4-COLA", workload.NewDescending(n))
+	descW, _ := run("4-COLA", workload.NewDescending(un))
 
 	mk := func(name string, paper, wall, trans float64) Series {
 		return Series{Name: name, X: []float64{paper}, Y: []float64{wall, trans}}
@@ -543,50 +543,18 @@ func (c Config) Ratios() Result {
 func (c Config) Transfers() Result {
 	c = c.withDefaults()
 	n := 1 << c.LogN
-	names := []string{"2-COLA", "basic-COLA", "deamortized-COLA", "deamortized-lookahead-COLA", "BRT", "B-tree", "shuttle"}
 	var series []Series
-	for _, b := range c.builders(names) {
-		seq := workload.NewRandomUnique(c.Seed)
-		for i := 0; i < n; i++ {
-			k := seq.Next()
-			b.d.Insert(k, k)
-		}
-		insertT := float64(b.transfers()) / float64(n)
-		b.dropCache()
-		b.resetCounters()
-		probe := workload.NewRNG(c.Seed + 1)
-		for i := 0; i < c.Searches; i++ {
-			b.d.Search(probe.Uint64())
-		}
-		searchT := float64(b.transfers()) / float64(c.Searches)
-		series = append(series, Series{Name: b.name, X: []float64{float64(n)}, Y: []float64{insertT, searchT}})
+	point := func(name string, b dict) {
+		insertT, _, searchT := b.probe(workload.NewRandomUnique(c.Seed), n, c.Searches, workload.NewRNG(c.Seed+1).Uint64)
+		series = append(series, Series{Name: name, X: []float64{float64(n)}, Y: []float64{insertT, searchT}})
 	}
+	c.each([]string{"2-COLA", "basic-COLA", "deamortized-COLA", "deamortized-lookahead-COLA", "BRT", "B-tree", "shuttle"},
+		func(b dict) { point(b.name, b) })
 	// Cache-aware lookahead array across epsilon.
 	for _, eps := range []float64{0, 0.5, 1} {
-		store := dam.NewStore(c.BlockBytes, c.CacheBytes)
-		a := la.New(la.Options{
-			BlockElems: int(c.BlockBytes / core.ElementBytes),
-			Epsilon:    eps,
-			Space:      store.Space("la"),
-		})
-		seq := workload.NewRandomUnique(c.Seed)
-		for i := 0; i < n; i++ {
-			k := seq.Next()
-			a.Insert(k, k)
-		}
-		insertT := float64(store.Transfers()) / float64(n)
-		store.DropCache()
-		store.ResetCounters()
-		probe := workload.NewRNG(c.Seed + 1)
-		for i := 0; i < c.Searches; i++ {
-			a.Search(probe.Uint64())
-		}
-		searchT := float64(store.Transfers()) / float64(c.Searches)
-		series = append(series, Series{
-			Name: fmt.Sprintf("LA(eps=%.1f, g=%d)", eps, a.GrowthFactor()),
-			X:    []float64{float64(n)},
-			Y:    []float64{insertT, searchT},
-		})
+		c.each([]string{"la"}, func(b dict) {
+			point(fmt.Sprintf("LA(eps=%.1f, g=%d)", eps, b.d.(*la.Array).GrowthFactor()), b)
+		}, registry.WithEpsilon(eps))
 	}
 	return Result{
 		Title:  "E6 — DAM transfers per operation (Y = [insert, search])",
@@ -605,21 +573,16 @@ func (c Config) Transfers() Result {
 func (c Config) Deamortized() Result {
 	c = c.withDefaults()
 	n := 1 << c.LogN
-	names := []string{"2-COLA", "deamortized-COLA", "deamortized-lookahead-COLA"}
 	var series []Series
-	for _, b := range c.builders(names) {
-		seq := workload.NewRandomUnique(c.Seed)
-		for i := 0; i < n; i++ {
-			k := seq.Next()
-			b.d.Insert(k, k)
-		}
+	c.each([]string{"2-COLA", "deamortized-COLA", "deamortized-lookahead-COLA"}, func(b dict) {
+		b.load(workload.NewRandomUnique(c.Seed), n)
 		st := b.d.(core.Statser).Stats()
 		series = append(series, Series{
 			Name: b.name,
 			X:    []float64{float64(n)},
 			Y:    []float64{float64(st.MaxMoves), float64(st.Moves) / float64(n)},
 		})
-	}
+	})
 	return Result{
 		Title:  "E7 — worst-case insert moves (Y = [max moves in one insert, amortized moves/insert])",
 		XLabel: "N",
@@ -641,27 +604,14 @@ func (c Config) Shuttle() Result {
 	for _, blockBytes := range []int64{512, 4096, 32768} {
 		cb := c
 		cb.BlockBytes = blockBytes
-		for _, b := range cb.builders([]string{"shuttle", "CO-B-tree", "B-tree"}) {
-			seq := workload.NewRandomUnique(c.Seed)
-			for i := 0; i < n; i++ {
-				k := seq.Next()
-				b.d.Insert(k, k)
-			}
-			insertT := float64(b.transfers()) / float64(n)
-			b.dropCache()
-			b.resetCounters()
-			probe := workload.NewRNG(c.Seed + 1)
-			searches := c.Searches / 4
-			for i := 0; i < searches; i++ {
-				b.d.Search(probe.Uint64())
-			}
-			searchT := float64(b.transfers()) / float64(searches)
+		cb.each([]string{"shuttle", "CO-B-tree", "B-tree"}, func(b dict) {
+			insertT, _, searchT := b.probe(workload.NewRandomUnique(c.Seed), n, c.Searches/4, workload.NewRNG(c.Seed+1).Uint64)
 			series = append(series, Series{
 				Name: fmt.Sprintf("%s B=%d", b.name, blockBytes),
 				X:    []float64{float64(blockBytes)},
 				Y:    []float64{insertT, searchT},
 			})
-		}
+		})
 	}
 	return Result{
 		Title:  "E8 — shuttle tree vs B-tree across block sizes (Y = [insert, search] transfers/op)",
@@ -754,25 +704,91 @@ func formatF(v float64) string {
 	}
 }
 
-// All runs every experiment in order.
-func (c Config) All() []Result {
-	var out []Result
-	out = append(out, c.Figure2()...)
-	out = append(out, c.Figure3()...)
-	out = append(out, c.Figure4()...)
-	out = append(out, c.Figure5()...)
-	out = append(out, c.Ratios())
-	out = append(out, c.Transfers())
-	out = append(out, c.Deamortized())
-	out = append(out, c.RangeScans())
-	out = append(out, c.Shuttle())
-	out = append(out, c.Concurrent())
-	return out
+// Figure is one experiment streambench runs by name.
+type Figure struct {
+	Name string
+	// Lineup is the default structure lineup of a figure that runs over
+	// any lineup (streambench's -dict replaces it); nil for a figure
+	// with a fixed lineup.
+	Lineup []string
+	// inAll marks the figures All runs: the deterministic paper figures
+	// whose DAM transfers BENCH_0.json gates. The rest depend on real
+	// I/O, the network or the host's cores.
+	inAll bool
+	// Run measures the figure over lineup (nil for a fixed lineup).
+	Run func(c Config, lineup []string) ([]Result, error)
 }
 
-// SortSeriesByName orders a result's series deterministically.
-func SortSeriesByName(r *Result) {
-	sort.Slice(r.Series, func(i, j int) bool { return r.Series[i].Name < r.Series[j].Name })
+// Results runs f over lineup, or over its default lineup when lineup is
+// nil.
+func (f Figure) Results(c Config, lineup []string) ([]Result, error) {
+	if lineup == nil {
+		lineup = f.Lineup
+	}
+	return f.Run(c, lineup)
+}
+
+// figures is every experiment streambench can run, in the order All
+// runs its share of them.
+var figures = []Figure{
+	{Name: "2", Lineup: paperLineup, inAll: true, Run: overLineup(Config.Figure2For)},
+	{Name: "3", Lineup: paperLineup, inAll: true, Run: overLineup(Config.Figure3For)},
+	{Name: "4", Lineup: paperLineup, inAll: true, Run: overLineup(Config.Figure4For)},
+	{Name: "5", inAll: true, Run: func(c Config, _ []string) ([]Result, error) { return c.Figure5(), nil }},
+	{Name: "ratios", inAll: true, Run: single(Config.Ratios)},
+	{Name: "transfers", inAll: true, Run: single(Config.Transfers)},
+	{Name: "deamortized", inAll: true, Run: single(Config.Deamortized)},
+	{Name: "scans", inAll: true, Run: single(Config.RangeScans)},
+	{Name: "shuttle", inAll: true, Run: single(Config.Shuttle)},
+	{Name: "concurrent", inAll: true, Run: single(Config.Concurrent)},
+	{Name: "readmostly", Run: single(Config.ReadMostly)},
+	{Name: "durability", Run: single(Config.Durability)},
+	{Name: "scenarios", Lineup: []string{"2-COLA", "B-tree"}, Run: func(c Config, lineup []string) ([]Result, error) {
+		return c.ScenariosFor(lineup, DefaultScenarioGrid())
+	}},
+	{Name: "serve", Run: func(c Config, _ []string) ([]Result, error) {
+		r, err := c.Serve()
+		return []Result{r}, err
+	}},
+	{Name: "outofcore", Run: func(c Config, _ []string) ([]Result, error) { return c.OutOfCore() }},
+}
+
+func overLineup(run func(Config, []string) []Result) func(Config, []string) ([]Result, error) {
+	return func(c Config, lineup []string) ([]Result, error) { return run(c, lineup), nil }
+}
+
+func single(run func(Config) Result) func(Config, []string) ([]Result, error) {
+	return func(c Config, _ []string) ([]Result, error) { return []Result{run(c)}, nil }
+}
+
+// Figures returns every experiment streambench can run by name, in the
+// order All runs its share of them. Callers must not modify it.
+func Figures() []Figure { return figures }
+
+// LookupFigure returns the named figure.
+func LookupFigure(name string) (Figure, bool) {
+	for _, f := range figures {
+		if f.Name == name {
+			return f, true
+		}
+	}
+	return Figure{}, false
+}
+
+// All runs every inAll figure, in order, over its default lineup.
+func (c Config) All() []Result {
+	var out []Result
+	for _, f := range figures {
+		if !f.inAll {
+			continue
+		}
+		rs, err := f.Results(c, nil)
+		if err != nil {
+			panic("harness: " + err.Error()) // in-memory figures have no failure path
+		}
+		out = append(out, rs...)
+	}
+	return out
 }
 
 // RangeScans is experiment E9, the contiguity claim of Section 1: "For
@@ -786,7 +802,7 @@ func (c Config) RangeScans() Result {
 	n := 1 << c.LogN
 	const window = 1 << 10
 	var series []Series
-	for _, b := range c.builders([]string{"2-COLA", "BRT", "B-tree"}) {
+	c.each([]string{"2-COLA", "BRT", "B-tree"}, func(b dict) {
 		// Dense keys 0..n-1 in random arrival order so every window is
 		// full and scans are comparable.
 		perm := workload.NewRNG(c.Seed)
@@ -801,12 +817,10 @@ func (c Config) RangeScans() Result {
 		for _, k := range keys {
 			b.d.Insert(k, k)
 		}
-		b.dropCache()
-		b.resetCounters()
+		b.cold()
 		rng := workload.NewRNG(c.Seed + 9)
-		scans := 64
 		returned := 0
-		for s := 0; s < scans; s++ {
+		for s := 0; s < 64; s++ {
 			lo := rng.Uint64() % uint64(n-window)
 			b.d.Range(lo, lo+window-1, func(core.Element) bool {
 				returned++
@@ -818,7 +832,7 @@ func (c Config) RangeScans() Result {
 			X:    []float64{float64(n)},
 			Y:    []float64{float64(b.transfers()) / float64(returned)},
 		})
-	}
+	})
 	return Result{
 		Title:  "E9 — range scans, transfers per returned element (cold cache)",
 		XLabel: "N",

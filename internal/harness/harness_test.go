@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 
@@ -27,7 +28,7 @@ func TestDefaults(t *testing.T) {
 }
 
 func TestFigure2ShapeHolds(t *testing.T) {
-	res := small().Figure2()
+	res := small().Figure2For(paperLineup)
 	if len(res) != 2 {
 		t.Fatalf("Figure2 returned %d results", len(res))
 	}
@@ -45,7 +46,7 @@ func TestFigure2ShapeHolds(t *testing.T) {
 }
 
 func TestFigure3BTreeWinsSorted(t *testing.T) {
-	res := small().Figure3()
+	res := small().Figure3For(paperLineup)
 	tr := res[1]
 	perName := map[string]float64{}
 	for _, s := range tr.Series {
@@ -60,7 +61,7 @@ func TestFigure3BTreeWinsSorted(t *testing.T) {
 }
 
 func TestFigure4BTreeSearchWins(t *testing.T) {
-	res := small().Figure4()
+	res := small().Figure4For(paperLineup)
 	tr := res[1]
 	perName := map[string]float64{}
 	for _, s := range tr.Series {
@@ -168,17 +169,17 @@ func TestBuildNamedResolvesEverything(t *testing.T) {
 	names = append(names, LegacyNames()...)
 	names = append(names, registry.Kinds()...)
 	for _, name := range names {
-		b, err := c.buildNamed(name)
+		b, err := c.buildWith(name, nil)
 		if err != nil {
-			t.Fatalf("buildNamed(%q): %v", name, err)
+			t.Fatalf("buildWith(%q): %v", name, err)
 		}
 		b.d.Insert(5, 50)
 		if v, ok := b.d.Search(5); !ok || v != 50 {
 			t.Fatalf("%s: Search = (%d,%v)", name, v, ok)
 		}
-		b.dropCache()
-		b.resetCounters()
+		b.cold()
 		_ = b.transfers()
+		b.close()
 	}
 }
 
@@ -317,4 +318,48 @@ func TestRangeScansNearSequentialBound(t *testing.T) {
 			perName["2-COLA"], seqBound)
 	}
 	t.Logf("scan transfers/element: %v (sequential bound %v)", perName, seqBound)
+}
+
+// TestLineupEntriesLeaveNoFiles: a lineup entry's WAL and checkpoint —
+// from a measured durable build, and from one whose build fails — are
+// gone once the entry is closed.
+func TestLineupEntriesLeaveNoFiles(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	c := small()
+	c.LogN = 9
+	c.Figure2For([]string{"durable"})
+	if _, err := c.buildWith("durable", []registry.Option{registry.WithInner("no-such-kind")}); err == nil {
+		t.Fatal("durable over an unknown inner kind built")
+	}
+	left, err := os.ReadDir(tmp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range left {
+		t.Errorf("left behind in TMPDIR: %s", e.Name())
+	}
+}
+
+// TestFigureTable: every figure's default lineup is valid, names are
+// unique, and All runs the InAll figures.
+func TestFigureTable(t *testing.T) {
+	seen := map[string]bool{}
+	for _, f := range Figures() {
+		if seen[f.Name] || f.Name == "all" {
+			t.Fatalf("figure name %q repeated or reserved", f.Name)
+		}
+		seen[f.Name] = true
+		if f.Lineup != nil {
+			if err := ValidateLineup(f.Lineup); err != nil {
+				t.Errorf("figure %s: %v", f.Name, err)
+			}
+		}
+		if g, ok := LookupFigure(f.Name); !ok || g.Name != f.Name {
+			t.Errorf("LookupFigure(%q) = %v, %v", f.Name, g.Name, ok)
+		}
+	}
+	if _, ok := LookupFigure("all"); ok {
+		t.Error(`LookupFigure("all") found a figure`)
+	}
 }

@@ -29,21 +29,49 @@ import (
 )
 
 // spillDict is the measurement surface a spilled gcola exposes beyond
-// core.Dictionary: actual chunk I/O counters, file statistics, and the
-// cache controls mirroring dam.Store's.
+// core.Dictionary: actual chunk I/O counters and file statistics (its
+// cache controls are what dict.cold drives).
 type spillDict interface {
 	ActualTransfers() (reads, writes uint64)
 	SpillFileStats() (files int, bytes int64, err error)
-	ResetSpillCounters()
-	DropSpillCache()
 	SpillCacheChunks() (chunks, chunkBytes int)
-	Close() error
 }
 
 // outOfCoreSpillCacheBytes starves the page cache enough that the
 // spilled levels of the default 2^18-element sweep cannot be held
 // resident (16 chunks of 4 KiB against several MiB of spill files).
 const outOfCoreSpillCacheBytes = 64 << 10
+
+// spillDepth is the first spilled level: only the top levels (a few
+// thousand cells) stay in RAM, so a sweep crosses into the out-of-core
+// regime early.
+func (c Config) spillDepth() int { return max(c.LogN-6, 2) }
+
+// spilled builds the gcola E15 measures, spilling at c.spillDepth() into
+// a fresh temp directory behind a page cache of spillCacheBytes; the
+// entry's close removes the directory.
+func (c Config) spilled(spillCacheBytes int64) (dict, spillDict, error) {
+	dir, err := os.MkdirTemp("", "streambench-spill-")
+	if err != nil {
+		return dict{}, nil, err
+	}
+	b, err := c.buildWith("gcola", []registry.Option{
+		registry.WithSpillDir(dir),
+		registry.WithSpillDepth(c.spillDepth()),
+		registry.WithSpillCacheBytes(spillCacheBytes),
+	})
+	if err != nil {
+		os.RemoveAll(dir)
+		return dict{}, nil, err
+	}
+	b.files = append(b.files, dir)
+	sd, ok := b.d.(spillDict)
+	if !ok {
+		b.close()
+		return dict{}, nil, fmt.Errorf("harness: spilled gcola does not expose spill accounting")
+	}
+	return b, sd, nil
+}
 
 // OutOfCoreSearchTransfers is the measurement core of the
 // dam-model-fidelity hypothesis bundle: it loads a spilled gcola with
@@ -56,46 +84,23 @@ const outOfCoreSpillCacheBytes = 64 << 10
 // while the charges do not).
 func (c Config) OutOfCoreSearchTransfers(spillCacheBytes int64, searches int) (charged, actual float64, err error) {
 	c = c.withDefaults()
-	spillDepth := c.LogN - 6
-	if spillDepth < 2 {
-		spillDepth = 2
-	}
-	dir, err := os.MkdirTemp("", "streambench-spill-")
+	b, sd, err := c.spilled(spillCacheBytes)
 	if err != nil {
 		return 0, 0, err
 	}
-	defer os.RemoveAll(dir)
-	b, err := c.buildWith("gcola", []registry.Option{
-		registry.WithSpillDir(dir),
-		registry.WithSpillDepth(spillDepth),
-		registry.WithSpillCacheBytes(spillCacheBytes),
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	sd, ok := b.d.(spillDict)
-	if !ok {
-		return 0, 0, fmt.Errorf("harness: spilled gcola does not expose spill accounting")
-	}
-	defer sd.Close()
+	defer b.close()
 
 	n := 1 << c.LogN
-	seq := workload.NewRandomUnique(c.Seed)
-	for i := 0; i < n; i++ {
-		k := seq.Next()
-		b.d.Insert(k, k)
-	}
+	b.load(workload.NewRandomUnique(c.Seed), n)
 	keys := workload.Take(workload.NewRandomUnique(c.Seed), n)
-	b.dropCache()
-	b.resetCounters()
-	sd.DropSpillCache()
-	sd.ResetSpillCounters()
+	b.cold()
 	probe := workload.NewRNG(c.Seed + 1)
-	for i := 0; i < searches; i++ {
-		b.d.Search(keys[probe.Intn(len(keys))])
+	reads := func() uint64 {
+		r, _ := sd.ActualTransfers()
+		return r
 	}
-	reads, _ := sd.ActualTransfers()
-	return float64(b.transfers()) / float64(searches), float64(reads) / float64(searches), nil
+	_, perOp := sweep([]int{searches}, func() { b.d.Search(keys[probe.Intn(len(keys))]) }, b.transfers, reads)
+	return perOp[0][0], perOp[1][0], nil
 }
 
 // OutOfCore is experiment E15: random inserts then cold random searches
@@ -103,37 +108,12 @@ func (c Config) OutOfCoreSearchTransfers(spillCacheBytes int64, searches int) (c
 // block transfers per operation at every power-of-two checkpoint.
 func (c Config) OutOfCore() ([]Result, error) {
 	c = c.withDefaults()
-	// Spill almost everything: only the top levels (a few thousand
-	// cells) stay in RAM, so the sweep crosses into the out-of-core
-	// regime early.
-	spillDepth := c.LogN - 6
-	if spillDepth < 2 {
-		spillDepth = 2
-	}
-	cc := c
-	cc.CacheBytes = outOfCoreSpillCacheBytes
-
-	// The spill store namespaces a private subdirectory and removes it
-	// on Close; the parent temp dir is cleaned here either way.
-	dir, err := os.MkdirTemp("", "streambench-spill-")
+	c.CacheBytes = outOfCoreSpillCacheBytes
+	b, sd, err := c.spilled(outOfCoreSpillCacheBytes)
 	if err != nil {
 		return nil, err
 	}
-	defer os.RemoveAll(dir)
-
-	b, err := cc.buildWith("gcola", []registry.Option{
-		registry.WithSpillDir(dir),
-		registry.WithSpillDepth(spillDepth),
-		registry.WithSpillCacheBytes(outOfCoreSpillCacheBytes),
-	})
-	if err != nil {
-		return nil, err
-	}
-	sd, ok := b.d.(spillDict)
-	if !ok {
-		return nil, fmt.Errorf("harness: spilled gcola does not expose spill accounting")
-	}
-	defer sd.Close()
+	defer b.close()
 	actual := func() uint64 {
 		r, w := sd.ActualTransfers()
 		return r + w
@@ -141,57 +121,18 @@ func (c Config) OutOfCore() ([]Result, error) {
 
 	// Insert phase: the Figure 2 sweep with both accountants read at
 	// every checkpoint.
-	n := 1 << cc.LogN
-	seq := workload.NewRandomUnique(cc.Seed)
-	var ixs, predIns, actIns []float64
-	done := 0
-	lastPred, lastAct := uint64(0), uint64(0)
-	for lg := cc.LogNStart; lg <= cc.LogN; lg++ {
-		target := 1 << lg
-		for done < target {
-			k := seq.Next()
-			b.d.Insert(k, k)
-			done++
-		}
-		window := float64(target - target/2)
-		if lg == cc.LogNStart {
-			window = float64(target)
-		}
-		p, a := b.transfers(), actual()
-		ixs = append(ixs, float64(lg))
-		predIns = append(predIns, float64(p-lastPred)/window)
-		actIns = append(actIns, float64(a-lastAct)/window)
-		lastPred, lastAct = p, a
-	}
+	n := 1 << c.LogN
+	ixs, ends := checkpoints(c.LogNStart, n)
+	_, ins := sweep(ends, b.inserts(workload.NewRandomUnique(c.Seed)), b.transfers, actual)
 	insPredTotal, insActTotal := b.transfers(), actual()
 
 	// Search phase: cold caches on both sides, probes drawn from the
 	// inserted key stream so every search hits.
-	keys := workload.Take(workload.NewRandomUnique(cc.Seed), n)
-	b.dropCache()
-	b.resetCounters()
-	sd.DropSpillCache()
-	sd.ResetSpillCounters()
-	probe := workload.NewRNG(cc.Seed + 1)
-	var sxs, predSrch, actSrch []float64
-	doneSearches := 0
-	lastPred, lastAct = 0, 0
-	for lg := 0; (1 << lg) <= cc.Searches; lg++ {
-		target := 1 << lg
-		for doneSearches < target {
-			b.d.Search(keys[probe.Intn(len(keys))])
-			doneSearches++
-		}
-		window := float64(target - target/2)
-		if lg == 0 {
-			window = float64(target)
-		}
-		p, a := b.transfers(), actual()
-		sxs = append(sxs, float64(lg))
-		predSrch = append(predSrch, float64(p-lastPred)/window)
-		actSrch = append(actSrch, float64(a-lastAct)/window)
-		lastPred, lastAct = p, a
-	}
+	keys := workload.Take(workload.NewRandomUnique(c.Seed), n)
+	b.cold()
+	probe := workload.NewRNG(c.Seed + 1)
+	sxs, ends := checkpoints(0, c.Searches)
+	_, srch := sweep(ends, func() { b.d.Search(keys[probe.Intn(len(keys))]) }, b.transfers, actual)
 	srchPredTotal, srchActTotal := b.transfers(), actual()
 
 	files, bytes, err := sd.SpillFileStats()
@@ -208,7 +149,7 @@ func (c Config) OutOfCore() ([]Result, error) {
 	}
 	notes := []string{
 		fmt.Sprintf("geometry: N = 2^%d, spill depth %d, page cache %d chunks x %d B, DAM B = %d M = %d",
-			cc.LogN, spillDepth, chunks, chunkBytes, cc.BlockBytes, cc.CacheBytes),
+			c.LogN, c.spillDepth(), chunks, chunkBytes, c.BlockBytes, c.CacheBytes),
 		fmt.Sprintf("spill files: %d (%d bytes)", files, bytes),
 		fmt.Sprintf("predicted/actual insert transfers: %.2f", ratio(insPredTotal, insActTotal)),
 		fmt.Sprintf("predicted/actual search transfers: %.2f", ratio(srchPredTotal, srchActTotal)),
@@ -218,8 +159,8 @@ func (c Config) OutOfCore() ([]Result, error) {
 			Title:  "E15 — out-of-core random inserts: DAM-predicted vs actual chunk transfers",
 			XLabel: "log2 N", YLabel: "block transfers / insert (window)",
 			Series: []Series{
-				{Name: "predicted (DAM)", X: ixs, Y: predIns},
-				{Name: "actual (chunk I/O)", X: ixs, Y: actIns},
+				{Name: "predicted (DAM)", X: ixs, Y: ins[0]},
+				{Name: "actual (chunk I/O)", X: ixs, Y: ins[1]},
 			},
 			Notes: append([]string{
 				"Merges stream spilled levels sequentially, so the actual curve should track the",
@@ -231,8 +172,8 @@ func (c Config) OutOfCore() ([]Result, error) {
 			Title:  "E15s — out-of-core random searches, cold cache: predicted vs actual",
 			XLabel: "log2 searches", YLabel: "block transfers / search (window)",
 			Series: []Series{
-				{Name: "predicted (DAM)", X: sxs, Y: predSrch},
-				{Name: "actual (chunk reads)", X: sxs, Y: actSrch},
+				{Name: "predicted (DAM)", X: sxs, Y: srch[0]},
+				{Name: "actual (chunk reads)", X: sxs, Y: srch[1]},
 			},
 			Notes: []string{
 				"A cache-starved random search walks every spilled level, paying real chunk reads",

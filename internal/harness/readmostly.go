@@ -20,27 +20,15 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/cola"
 	"repro/internal/core"
-	"repro/internal/dam"
-	"repro/internal/shard"
-	"repro/internal/syncdict"
 	"repro/internal/workload"
 )
-
-// exclusiveInner hides a dictionary's SharedReader methods, so a
-// wrapper probing core.AsSharedReader falls back to exclusive locking —
-// the honest reconstruction of the pre-shared-read baseline on the very
-// same structure.
-type exclusiveInner struct {
-	core.Dictionary
-}
 
 // driveReadMostly runs workers goroutines over a preloaded dictionary,
 // each performing perWorker operations of a 95/5 search/insert mix
 // (searches probe the preloaded keyspace, inserts add fresh per-worker
 // keys), and returns aggregate searches/second.
-func driveReadMostly(d concurrentDict, workers, perWorker int, preload []uint64, seed uint64) float64 {
+func driveReadMostly(d core.Dictionary, workers, perWorker int, preload []uint64, seed uint64) float64 {
 	var wg sync.WaitGroup
 	searches := 0
 	var searchesMu sync.Mutex
@@ -85,41 +73,26 @@ func (c Config) ReadMostly() Result {
 
 	preload := workload.Take(workload.NewRandomUnique(c.Seed), n)
 
-	mkSharded := func(shards int, exclusive bool) *shard.Map {
-		return shard.New(
-			shard.WithShards(shards),
-			shard.WithDictionary(func(_ int, sp *dam.Space) core.Dictionary {
-				var d core.Dictionary = cola.NewCOLA(sp)
-				if exclusive {
-					d = exclusiveInner{d}
-				}
-				return d
-			}),
-		)
-	}
-	mkSync := func(exclusive bool) *syncdict.Dict {
-		var d core.Dictionary = cola.NewCOLA(nil)
-		if exclusive {
-			d = exclusiveInner{d}
-		}
-		return syncdict.New(d)
-	}
-
 	contenders := []struct {
-		name  string
-		build func(g int) concurrentDict
+		name      string
+		sharded   bool
+		exclusive bool
 	}{
-		{"sharded shared srch/s", func(g int) concurrentDict { return mkSharded(g, false) }},
-		{"sharded excl srch/s", func(g int) concurrentDict { return mkSharded(g, true) }},
-		{"sync shared srch/s", func(int) concurrentDict { return mkSync(false) }},
-		{"sync excl srch/s", func(int) concurrentDict { return mkSync(true) }},
+		{"sharded shared srch/s", true, false},
+		{"sharded excl srch/s", true, true},
+		{"sync shared srch/s", false, false},
+		{"sync excl srch/s", false, true},
 	}
 
 	series := make([]Series, len(contenders))
 	for ci, ct := range contenders {
 		series[ci].Name = ct.name
 		for _, g := range scales {
-			d := ct.build(g)
+			shards := 0 // the single-lock wrapper
+			if ct.sharded {
+				shards = g
+			}
+			d := guarded(shards, ct.exclusive)
 			for _, k := range preload {
 				d.Insert(k, k)
 			}

@@ -37,10 +37,6 @@ import (
 	"repro/internal/workload"
 )
 
-// DefaultScenarioLineup is the structure lineup -fig scenarios runs
-// when -dict is not given: the paper's headline contenders.
-func DefaultScenarioLineup() []string { return []string{"2-COLA", "B-tree"} }
-
 // DefaultScenarioGrid is the curated slice of the skew × arrival × mix
 // grid that -fig scenarios runs by default: every skew under a steady
 // read-mostly mix, every arrival pattern under pure inserts, plus a
@@ -96,6 +92,7 @@ func (c Config) MeasureScenario(structure string, extra []registry.Option, spec 
 	if err != nil {
 		return ScenarioMeasurement{}, err
 	}
+	defer b.close()
 	if sc.Mix.DeletePct > 0 {
 		if _, ok := b.d.(core.Deleter); !ok {
 			return ScenarioMeasurement{}, fmt.Errorf("scenario %s needs deletes but structure %q does not implement core.Deleter", sc.Name(), structure)
@@ -122,8 +119,7 @@ func (c Config) MeasureScenario(structure string, extra []registry.Option, spec 
 			core.InsertBatch(b.d, elems)
 		}
 		m.Preloaded = int(sc.KeySpace)
-		b.dropCache()
-		b.resetCounters()
+		b.cold()
 	}
 
 	st, err := sc.Stream()
@@ -224,16 +220,4 @@ func (c Config) ScenariosFor(names []string, specs []string) ([]Result, error) {
 		out = append(out, r)
 	}
 	return out, nil
-}
-
-// Scenarios is experiment E13 with its defaults: the curated grid over
-// the default lineup.
-func (c Config) Scenarios() []Result {
-	out, err := c.ScenariosFor(DefaultScenarioLineup(), DefaultScenarioGrid())
-	if err != nil {
-		// Unreachable for the built-in grid and lineup, which are
-		// validated by construction (and pinned by tests).
-		panic("harness: default scenario grid failed: " + err.Error())
-	}
-	return out
 }

@@ -407,17 +407,13 @@ func buildDurable(c *Config) (core.Dictionary, error) {
 	}), nil
 }
 
-// runtimeWiringOpts configure process-local runtime wiring (DAM
-// accounting spaces, out-of-core spill stores). They are dropped from
-// recorded snapshot specs, so a durable inner must not carry them.
-var runtimeWiringOpts = []string{OptSpace, OptSpillDir, OptSpillDepth, OptSpillCacheBytes}
-
 // innerTreeSetsRuntime returns the name of the first runtime-wiring
-// option set anywhere in an inner option tree, or "" if none is.
+// option (see optionRow) set anywhere in an inner option tree, or "" if
+// none is.
 func innerTreeSetsRuntime(c *Config) (string, error) {
-	for _, name := range runtimeWiringOpts {
-		if c.IsSet(name) {
-			return name, nil
+	for _, row := range optionTable {
+		if row.wiring && c.IsSet(row.name) {
+			return row.name, nil
 		}
 	}
 	if _, iopts, ok := c.Inner(); ok {

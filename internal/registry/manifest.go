@@ -18,19 +18,107 @@ import (
 	"repro/internal/snap"
 )
 
-// specOptOrder fixes the header's option order so identical
-// configurations serialize identically (the set map is unordered).
-var specOptOrder = []string{
-	OptGrowth, OptPointerDensity, OptFanout, OptEpsilon, OptBlockBytes,
-	OptLeafCapacity, OptRelayoutEvery, OptShards, OptBatchSize,
-	OptShardDAM, OptWALPath, OptCheckpointEvery, OptInner,
+// value is one option's setting, in the shape every option shares; its
+// row's valueKind says which fields are meaningful.
+type value struct {
+	i, j int64
+	f    float64
+	s    string
+}
+
+// valueKind says which fields of a value an option uses, how its
+// constructor's arguments read in an error message, and how a snapshot
+// header records it.
+type valueKind uint8
+
+const (
+	objectValue valueKind = iota // the live object sits in a typed Config field
+	intValue
+	pairValue
+	floatValue
+	stringValue
+	innerValue // WithInner: the kind in s, recorded as a nested spec
+)
+
+func (k valueKind) format(v value) string {
+	switch k {
+	case intValue:
+		return fmt.Sprint(v.i)
+	case pairValue:
+		return fmt.Sprintf("%d, %d", v.i, v.j)
+	case floatValue:
+		return fmt.Sprintf("%g", v.f)
+	case stringValue:
+		return fmt.Sprintf("%q", v.s)
+	}
+	return ""
+}
+
+// optionRow is everything the registry knows about one option beyond
+// its constructor and getter.
+type optionRow struct {
+	name string
+	kind valueKind
+	// wiring marks process-local runtime wiring: never recorded in a
+	// snapshot header (pass it again at Load), and refused inside a
+	// durable inner, whose reopen could not restore it.
+	wiring bool
+	// valid is the constructor's range check (nil: any value), and rule
+	// the error text when it fails.
+	valid func(value) bool
+	rule  string
+}
+
+// optionTable has one row per option. Recorded rows come in
+// snapshot-header order, which is part of the container format:
+// identical configurations must serialize identically.
+var optionTable = []optionRow{
+	{name: OptGrowth, kind: intValue, valid: atLeast(2), rule: "growth factor must be at least 2"},
+	{name: OptPointerDensity, kind: floatValue, valid: within(0, 0.5), rule: "density must lie in [0, 0.5]"},
+	{name: OptFanout, kind: intValue, valid: atLeast(2), rule: "fanout must be at least 2"},
+	{name: OptEpsilon, kind: floatValue, valid: within(0, 1), rule: "epsilon must lie in [0, 1]"},
+	{name: OptBlockBytes, kind: intValue, valid: atLeast(2 * core.ElementBytes),
+		rule: fmt.Sprintf("blocks must hold at least two %d-byte elements", core.ElementBytes)},
+	{name: OptLeafCapacity, kind: intValue, valid: atLeast(2), rule: "leaves must hold at least 2 elements"},
+	{name: OptRelayoutEvery, kind: intValue},
+	{name: OptShards, kind: intValue, valid: atLeast(1), rule: "shard count must be positive"},
+	{name: OptBatchSize, kind: intValue, valid: atLeast(1), rule: "batch size must be positive"},
+	{name: OptShardDAM, kind: pairValue, valid: func(v value) bool { return v.i > 0 && v.j >= 0 },
+		rule: "block size must be positive and cache size non-negative"},
+	{name: OptWALPath, kind: stringValue, valid: nonEmpty, rule: "path must be non-empty"},
+	{name: OptCheckpointEvery, kind: intValue, valid: atLeast(0), rule: "period must be non-negative"},
+	{name: OptInner, kind: innerValue},
+	{name: OptSpace, kind: objectValue, wiring: true},
+	{name: OptFactory, kind: objectValue, wiring: true},
+	{name: OptSpillDir, kind: stringValue, wiring: true, valid: nonEmpty, rule: "directory must be non-empty"},
+	{name: OptSpillDepth, kind: intValue, wiring: true, valid: atLeast(1), rule: "spill depth must be at least 1"},
+	{name: OptSpillCacheBytes, kind: intValue, wiring: true, valid: atLeast(1), rule: "cache budget must be positive"},
+}
+
+func atLeast(min int64) func(value) bool { return func(v value) bool { return v.i >= min } }
+
+func within(lo, hi float64) func(value) bool {
+	return func(v value) bool { return v.f >= lo && v.f <= hi }
+}
+
+func nonEmpty(v value) bool { return v.s != "" }
+
+// rowOf returns the named option's row, or nil for a name no option
+// has.
+func rowOf(name string) *optionRow {
+	for i := range optionTable {
+		if optionTable[i].name == name {
+			return &optionTable[i]
+		}
+	}
+	return nil
 }
 
 // specFromConfig converts a validated Config into the container header
-// spec. OptSpace is runtime wiring (a live DAM space cannot be
-// persisted) and is silently omitted — pass WithSpace again at Load.
-// OptFactory is an error: a closure-built structure cannot be described
-// by name.
+// spec. Runtime wiring (optionTable's wiring rows: a live DAM space, a
+// spill store) is silently omitted — pass it again at Load. A
+// WithDictionary factory is an error: a closure-built structure cannot
+// be described by name.
 func specFromConfig(kind string, c *Config) (*snap.Spec, error) {
 	return buildSpec(kind, c, true)
 }
@@ -46,50 +134,37 @@ func requestedSpec(kind string, c *Config) (*snap.Spec, error) {
 }
 
 func buildSpec(kind string, c *Config, pinDefaults bool) (*snap.Spec, error) {
+	if c.IsSet(OptFactory) {
+		return nil, fmt.Errorf("a WithDictionary factory cannot be recorded in a snapshot; use WithInner with a registered kind")
+	}
 	spec := &snap.Spec{Kind: kind}
-	for _, name := range specOptOrder {
-		if !c.set[name] {
+	for _, row := range optionTable {
+		v, ok := c.set[row.name]
+		if !ok || row.wiring {
 			continue
 		}
-		switch name {
-		case OptGrowth:
-			spec.Opts = append(spec.Opts, snap.Int(name, int64(c.growth)))
-		case OptPointerDensity:
-			spec.Opts = append(spec.Opts, snap.Float(name, c.pointerDensity))
-		case OptFanout:
-			spec.Opts = append(spec.Opts, snap.Int(name, int64(c.fanout)))
-		case OptEpsilon:
-			spec.Opts = append(spec.Opts, snap.Float(name, c.epsilon))
-		case OptBlockBytes:
-			spec.Opts = append(spec.Opts, snap.Int(name, c.blockBytes))
-		case OptLeafCapacity:
-			spec.Opts = append(spec.Opts, snap.Int(name, int64(c.leafCapacity)))
-		case OptRelayoutEvery:
-			spec.Opts = append(spec.Opts, snap.Int(name, int64(c.relayoutEvery)))
-		case OptShards:
-			spec.Opts = append(spec.Opts, snap.Int(name, int64(c.shards)))
-		case OptBatchSize:
-			spec.Opts = append(spec.Opts, snap.Int(name, int64(c.batchSize)))
-		case OptShardDAM:
-			spec.Opts = append(spec.Opts, snap.IntPair(name, c.shardBlock, c.shardCache))
-		case OptWALPath:
-			spec.Opts = append(spec.Opts, snap.String(name, c.walPath))
-		case OptCheckpointEvery:
-			spec.Opts = append(spec.Opts, snap.Int(name, int64(c.ckptEvery)))
-		case OptInner:
+		var o snap.Opt
+		switch row.kind {
+		case intValue:
+			o = snap.Int(row.name, v.i)
+		case pairValue:
+			o = snap.IntPair(row.name, v.i, v.j)
+		case floatValue:
+			o = snap.Float(row.name, v.f)
+		case stringValue:
+			o = snap.String(row.name, v.s)
+		case innerValue:
 			icfg, err := innerConfig(c.innerOpts)
 			if err != nil {
 				return nil, err
 			}
-			isp, err := buildSpec(c.innerKind, icfg, pinDefaults)
+			isp, err := buildSpec(v.s, icfg, pinDefaults)
 			if err != nil {
 				return nil, err
 			}
-			spec.Opts = append(spec.Opts, snap.Nested(name, isp))
+			o = snap.Nested(row.name, isp)
 		}
-	}
-	if c.set[OptFactory] {
-		return nil, fmt.Errorf("a WithDictionary factory cannot be recorded in a snapshot; use WithInner with a registered kind")
+		spec.Opts = append(spec.Opts, o)
 	}
 	// The shard count is part of the composed codec's format (hash
 	// routing depends on it), so a sharded spec built with the
@@ -99,7 +174,7 @@ func buildSpec(kind string, c *Config, pinDefaults bool) (*snap.Spec, error) {
 	// map's exact count; here (including nested WithInner specs and
 	// durable checkpoint specs) the build-time default is recorded,
 	// which is what the same-process builder produced.
-	if pinDefaults && Accepts(kind, OptShards) && !c.set[OptShards] {
+	if pinDefaults && Accepts(kind, OptShards) && !c.IsSet(OptShards) {
 		spec.Opts = append(spec.Opts, snap.Int(OptShards, int64(defaultShards())))
 	}
 	return spec, nil
@@ -160,43 +235,21 @@ func defaultShards() int {
 func optionsFromSpec(spec *snap.Spec) ([]Option, error) {
 	opts := make([]Option, 0, len(spec.Opts))
 	for _, o := range spec.Opts {
-		switch o.Name {
-		case OptGrowth:
-			opts = append(opts, WithGrowthFactor(int(o.Int)))
-		case OptPointerDensity:
-			opts = append(opts, WithPointerDensity(o.Float))
-		case OptFanout:
-			opts = append(opts, WithFanout(int(o.Int)))
-		case OptEpsilon:
-			opts = append(opts, WithEpsilon(o.Float))
-		case OptBlockBytes:
-			opts = append(opts, WithBlockBytes(o.Int))
-		case OptLeafCapacity:
-			opts = append(opts, WithLeafCapacity(int(o.Int)))
-		case OptRelayoutEvery:
-			opts = append(opts, WithRelayoutEvery(int(o.Int)))
-		case OptShards:
-			opts = append(opts, WithShards(int(o.Int)))
-		case OptBatchSize:
-			opts = append(opts, WithBatchSize(int(o.Int)))
-		case OptShardDAM:
-			opts = append(opts, WithShardDAM(o.Int, o.Int2))
-		case OptWALPath:
-			opts = append(opts, WithWALPath(o.Str))
-		case OptCheckpointEvery:
-			opts = append(opts, WithCheckpointEvery(int(o.Int)))
-		case OptInner:
-			if o.Spec == nil {
-				return nil, fmt.Errorf("snapshot header option %q carries no inner spec: %w", o.Name, core.ErrCorrupt)
-			}
+		row := rowOf(o.Name)
+		switch {
+		case row == nil || row.wiring:
+			return nil, fmt.Errorf("snapshot header names option %q unknown to this build: %w",
+				o.Name, core.ErrBadVersion)
+		case row.kind != innerValue:
+			opts = append(opts, setting(o.Name, value{i: o.Int, j: o.Int2, f: o.Float, s: o.Str}))
+		case o.Spec == nil:
+			return nil, fmt.Errorf("snapshot header option %q carries no inner spec: %w", o.Name, core.ErrCorrupt)
+		default:
 			innerOpts, err := optionsFromSpec(o.Spec)
 			if err != nil {
 				return nil, err
 			}
 			opts = append(opts, WithInner(o.Spec.Kind, innerOpts...))
-		default:
-			return nil, fmt.Errorf("snapshot header names option %q unknown to this build: %w",
-				o.Name, core.ErrBadVersion)
 		}
 	}
 	return opts, nil

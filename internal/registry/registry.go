@@ -50,160 +50,113 @@ const (
 // record both a value and the fact that they were set, so build
 // functions can distinguish "caller chose the default" from "caller
 // never spoke" and Build can reject options a kind does not accept.
+//
+// Every option the caller set has an entry in set, in the one value
+// shape all options share. The three options that carry a live Go
+// object rather than a value (WithSpace, WithInner's options,
+// WithDictionary) keep the object in a typed field beside it.
 type Config struct {
-	set map[string]bool
+	set map[string]value
 
-	space          *dam.Space
-	growth         int
-	pointerDensity float64
-	fanout         int
-	epsilon        float64
-	blockBytes     int64
-	leafCapacity   int
-	relayoutEvery  int
-	shards         int
-	batchSize      int
-	shardBlock     int64
-	shardCache     int64
-	innerKind      string
-	innerOpts      []Option
-	factory        shard.Factory
-	walPath        string
-	ckptEvery      int
-	spillDir       string
-	spillDepth     int
-	spillCache     int64
+	space     *dam.Space
+	innerOpts []Option
+	factory   shard.Factory
 }
 
-func newConfig() *Config { return &Config{set: make(map[string]bool)} }
-
-func (c *Config) mark(name string) { c.set[name] = true }
+func newConfig() *Config { return &Config{set: make(map[string]value)} }
 
 // IsSet reports whether the named option was explicitly provided.
-func (c *Config) IsSet(name string) bool { return c.set[name] }
+func (c *Config) IsSet(name string) bool {
+	_, ok := c.set[name]
+	return ok
+}
+
+// intOpt returns an integer option's value, or def when unset.
+func (c *Config) intOpt(name string, def int64) int64 {
+	if v, ok := c.set[name]; ok {
+		return v.i
+	}
+	return def
+}
+
+// floatOpt returns a float option's value, or def when unset.
+func (c *Config) floatOpt(name string, def float64) float64 {
+	if v, ok := c.set[name]; ok {
+		return v.f
+	}
+	return def
+}
 
 // Space returns the DAM space option (nil when unset or explicitly nil).
 func (c *Config) Space() *dam.Space { return c.space }
 
 // GrowthFactor returns the growth factor, or def when unset.
-func (c *Config) GrowthFactor(def int) int {
-	if c.set[OptGrowth] {
-		return c.growth
-	}
-	return def
-}
+func (c *Config) GrowthFactor(def int) int { return int(c.intOpt(OptGrowth, int64(def))) }
 
 // PointerDensity returns the lookahead pointer density, or def when
 // unset.
-func (c *Config) PointerDensity(def float64) float64 {
-	if c.set[OptPointerDensity] {
-		return c.pointerDensity
-	}
-	return def
-}
+func (c *Config) PointerDensity(def float64) float64 { return c.floatOpt(OptPointerDensity, def) }
 
 // Fanout returns the fanout / balance parameter, or def when unset.
-func (c *Config) Fanout(def int) int {
-	if c.set[OptFanout] {
-		return c.fanout
-	}
-	return def
-}
+func (c *Config) Fanout(def int) int { return int(c.intOpt(OptFanout, int64(def))) }
 
 // Epsilon returns the insert/search tradeoff parameter, or def when
 // unset.
-func (c *Config) Epsilon(def float64) float64 {
-	if c.set[OptEpsilon] {
-		return c.epsilon
-	}
-	return def
-}
+func (c *Config) Epsilon(def float64) float64 { return c.floatOpt(OptEpsilon, def) }
 
 // BlockBytes returns the block size, or def when unset.
-func (c *Config) BlockBytes(def int64) int64 {
-	if c.set[OptBlockBytes] {
-		return c.blockBytes
-	}
-	return def
-}
+func (c *Config) BlockBytes(def int64) int64 { return c.intOpt(OptBlockBytes, def) }
 
 // LeafCapacity returns the B-tree leaf capacity, or def when unset.
-func (c *Config) LeafCapacity(def int) int {
-	if c.set[OptLeafCapacity] {
-		return c.leafCapacity
-	}
-	return def
-}
+func (c *Config) LeafCapacity(def int) int { return int(c.intOpt(OptLeafCapacity, int64(def))) }
 
 // RelayoutEvery returns the shuttle relayout period, or def when unset.
-func (c *Config) RelayoutEvery(def int) int {
-	if c.set[OptRelayoutEvery] {
-		return c.relayoutEvery
-	}
-	return def
-}
+func (c *Config) RelayoutEvery(def int) int { return int(c.intOpt(OptRelayoutEvery, int64(def))) }
 
 // Shards returns the shard count, or def when unset.
-func (c *Config) Shards(def int) int {
-	if c.set[OptShards] {
-		return c.shards
-	}
-	return def
-}
+func (c *Config) Shards(def int) int { return int(c.intOpt(OptShards, int64(def))) }
 
 // BatchSize returns the loader batch size, or def when unset.
-func (c *Config) BatchSize(def int) int {
-	if c.set[OptBatchSize] {
-		return c.batchSize
-	}
-	return def
-}
+func (c *Config) BatchSize(def int) int { return int(c.intOpt(OptBatchSize, int64(def))) }
 
 // ShardDAM returns the per-shard DAM geometry; ok is false when unset.
 func (c *Config) ShardDAM() (blockBytes, cacheBytes int64, ok bool) {
-	return c.shardBlock, c.shardCache, c.set[OptShardDAM]
+	v, ok := c.set[OptShardDAM]
+	return v.i, v.j, ok
 }
 
 // Inner returns the inner-kind selection; ok is false when unset.
 func (c *Config) Inner() (kind string, opts []Option, ok bool) {
-	return c.innerKind, c.innerOpts, c.set[OptInner]
+	v, ok := c.set[OptInner]
+	return v.s, c.innerOpts, ok
 }
 
 // Factory returns the explicit per-shard factory; nil when unset.
 func (c *Config) Factory() shard.Factory { return c.factory }
 
 // WALPath returns the write-ahead log path; ok is false when unset.
-func (c *Config) WALPath() (string, bool) { return c.walPath, c.set[OptWALPath] }
+func (c *Config) WALPath() (string, bool) {
+	v, ok := c.set[OptWALPath]
+	return v.s, ok
+}
 
 // CheckpointEvery returns the automatic checkpoint period in log
 // records, or def when unset.
-func (c *Config) CheckpointEvery(def int) int {
-	if c.set[OptCheckpointEvery] {
-		return c.ckptEvery
-	}
-	return def
-}
+func (c *Config) CheckpointEvery(def int) int { return int(c.intOpt(OptCheckpointEvery, int64(def))) }
 
 // SpillDir returns the out-of-core spill directory; ok is false when
 // unset (fully in-RAM operation).
-func (c *Config) SpillDir() (string, bool) { return c.spillDir, c.set[OptSpillDir] }
+func (c *Config) SpillDir() (string, bool) {
+	v, ok := c.set[OptSpillDir]
+	return v.s, ok
+}
 
 // SpillDepth returns the first spilled level index, or def when unset.
-func (c *Config) SpillDepth(def int) int {
-	if c.set[OptSpillDepth] {
-		return c.spillDepth
-	}
-	return def
-}
+func (c *Config) SpillDepth(def int) int { return int(c.intOpt(OptSpillDepth, int64(def))) }
 
 // SpillCacheBytes returns the spill page-cache budget, or def when
 // unset.
-func (c *Config) SpillCacheBytes(def int64) int64 {
-	if c.set[OptSpillCacheBytes] {
-		return c.spillCache
-	}
-	return def
-}
+func (c *Config) SpillCacheBytes(def int64) int64 { return c.intOpt(OptSpillCacheBytes, def) }
 
 // Option is one entry of the unified functional-option set shared by
 // every registered kind. Applying an option can fail (a value out of
@@ -211,140 +164,70 @@ func (c *Config) SpillCacheBytes(def int64) int64 {
 // rejects options the selected kind does not accept.
 type Option func(*Config) error
 
+// setting is the Option that stores v under name. Loading a snapshot
+// header rebuilds its options the same way, so a recorded value is held
+// to the rule its constructor enforces.
+func setting(name string, v value) Option {
+	return func(c *Config) error { return c.put(name, v) }
+}
+
+// put checks v against the rule in name's row of optionTable and
+// records it.
+func (c *Config) put(name string, v value) error {
+	if row := rowOf(name); row.valid != nil && !row.valid(v) {
+		return fmt.Errorf("%s(%s): %s", name, row.kind.format(v), row.rule)
+	}
+	c.set[name] = v
+	return nil
+}
+
 // WithSpace charges the structure's memory traffic to the given DAM
 // space; nil disables accounting.
 func WithSpace(sp *dam.Space) Option {
 	return func(c *Config) error {
 		c.space = sp
-		c.mark(OptSpace)
-		return nil
+		return c.put(OptSpace, value{})
 	}
 }
 
 // WithGrowthFactor sets the lookahead-array growth factor g (>= 2).
-func WithGrowthFactor(g int) Option {
-	return func(c *Config) error {
-		if g < 2 {
-			return fmt.Errorf("WithGrowthFactor(%d): growth factor must be at least 2", g)
-		}
-		c.growth = g
-		c.mark(OptGrowth)
-		return nil
-	}
-}
+func WithGrowthFactor(g int) Option { return setting(OptGrowth, value{i: int64(g)}) }
 
 // WithPointerDensity sets the lookahead pointer density p in [0, 0.5];
 // p = 0 disables fractional cascading.
-func WithPointerDensity(p float64) Option {
-	return func(c *Config) error {
-		if p < 0 || p > 0.5 {
-			return fmt.Errorf("WithPointerDensity(%g): density must lie in [0, 0.5]", p)
-		}
-		c.pointerDensity = p
-		c.mark(OptPointerDensity)
-		return nil
-	}
-}
+func WithPointerDensity(p float64) Option { return setting(OptPointerDensity, value{f: p}) }
 
 // WithFanout sets the tree fanout / balance parameter.
-func WithFanout(n int) Option {
-	return func(c *Config) error {
-		if n < 2 {
-			return fmt.Errorf("WithFanout(%d): fanout must be at least 2", n)
-		}
-		c.fanout = n
-		c.mark(OptFanout)
-		return nil
-	}
-}
+func WithFanout(n int) Option { return setting(OptFanout, value{i: int64(n)}) }
 
 // WithEpsilon positions a cache-aware lookahead array on the
 // insert/search tradeoff curve; epsilon must lie in [0, 1].
-func WithEpsilon(e float64) Option {
-	return func(c *Config) error {
-		if e < 0 || e > 1 {
-			return fmt.Errorf("WithEpsilon(%g): epsilon must lie in [0, 1]", e)
-		}
-		c.epsilon = e
-		c.mark(OptEpsilon)
-		return nil
-	}
-}
+func WithEpsilon(e float64) Option { return setting(OptEpsilon, value{f: e}) }
 
 // WithBlockBytes sets the block size B in bytes for the cache-aware
 // structures (B-tree, BRT, lookahead array).
-func WithBlockBytes(b int64) Option {
-	return func(c *Config) error {
-		if b < 2*core.ElementBytes {
-			return fmt.Errorf("WithBlockBytes(%d): blocks must hold at least two %d-byte elements", b, core.ElementBytes)
-		}
-		c.blockBytes = b
-		c.mark(OptBlockBytes)
-		return nil
-	}
-}
+func WithBlockBytes(b int64) Option { return setting(OptBlockBytes, value{i: b}) }
 
 // WithLeafCapacity sets the B-tree's elements-per-leaf directly,
 // overriding the BlockBytes-derived default.
-func WithLeafCapacity(n int) Option {
-	return func(c *Config) error {
-		if n < 2 {
-			return fmt.Errorf("WithLeafCapacity(%d): leaves must hold at least 2 elements", n)
-		}
-		c.leafCapacity = n
-		c.mark(OptLeafCapacity)
-		return nil
-	}
-}
+func WithLeafCapacity(n int) Option { return setting(OptLeafCapacity, value{i: int64(n)}) }
 
 // WithRelayoutEvery sets how many node splits the shuttle tree absorbs
 // before rebuilding its exact van Emde Boas layout; negative disables
 // rebuilds.
-func WithRelayoutEvery(n int) Option {
-	return func(c *Config) error {
-		c.relayoutEvery = n
-		c.mark(OptRelayoutEvery)
-		return nil
-	}
-}
+func WithRelayoutEvery(n int) Option { return setting(OptRelayoutEvery, value{i: int64(n)}) }
 
 // WithShards sets the sharded map's partition count (rounded up to a
 // power of two by the shard package).
-func WithShards(n int) Option {
-	return func(c *Config) error {
-		if n <= 0 {
-			return fmt.Errorf("WithShards(%d): shard count must be positive", n)
-		}
-		c.shards = n
-		c.mark(OptShards)
-		return nil
-	}
-}
+func WithShards(n int) Option { return setting(OptShards, value{i: int64(n)}) }
 
 // WithBatchSize sets the sharded map loader's per-flush batch size.
-func WithBatchSize(k int) Option {
-	return func(c *Config) error {
-		if k <= 0 {
-			return fmt.Errorf("WithBatchSize(%d): batch size must be positive", k)
-		}
-		c.batchSize = k
-		c.mark(OptBatchSize)
-		return nil
-	}
-}
+func WithBatchSize(k int) Option { return setting(OptBatchSize, value{i: int64(k)}) }
 
 // WithShardDAM gives every shard of a sharded map its own DAM store
 // with the given geometry; Transfers then reports the aggregate.
 func WithShardDAM(blockBytes, cacheBytes int64) Option {
-	return func(c *Config) error {
-		if blockBytes <= 0 || cacheBytes < 0 {
-			return fmt.Errorf("WithShardDAM(%d, %d): block size must be positive and cache size non-negative", blockBytes, cacheBytes)
-		}
-		c.shardBlock = blockBytes
-		c.shardCache = cacheBytes
-		c.mark(OptShardDAM)
-		return nil
-	}
+	return setting(OptShardDAM, value{i: blockBytes, j: cacheBytes})
 }
 
 // WithInner selects the structure a wrapper kind ("sharded",
@@ -353,82 +236,35 @@ func WithShardDAM(blockBytes, cacheBytes int64) Option {
 // receives its private space (see WithShardDAM).
 func WithInner(kind string, opts ...Option) Option {
 	return func(c *Config) error {
-		c.innerKind = kind
 		c.innerOpts = opts
-		c.mark(OptInner)
-		return nil
+		return c.put(OptInner, value{s: kind})
 	}
 }
 
 // WithWALPath sets the write-ahead log path of a "durable" dictionary;
 // the checkpoint snapshot lives next to it at path + ".ckpt". Reopening
 // the same path recovers the logged state.
-func WithWALPath(path string) Option {
-	return func(c *Config) error {
-		if path == "" {
-			return fmt.Errorf("WithWALPath(%q): path must be non-empty", path)
-		}
-		c.walPath = path
-		c.mark(OptWALPath)
-		return nil
-	}
-}
+func WithWALPath(path string) Option { return setting(OptWALPath, value{s: path}) }
 
 // WithCheckpointEvery makes a "durable" dictionary checkpoint
 // automatically after every n appended log records (batches, not
 // elements); n = 0 disables automatic checkpoints.
-func WithCheckpointEvery(n int) Option {
-	return func(c *Config) error {
-		if n < 0 {
-			return fmt.Errorf("WithCheckpointEvery(%d): period must be non-negative", n)
-		}
-		c.ckptEvery = n
-		c.mark(OptCheckpointEvery)
-		return nil
-	}
-}
+func WithCheckpointEvery(n int) Option { return setting(OptCheckpointEvery, value{i: int64(n)}) }
 
 // WithSpillDir turns on a gcola's out-of-core mode: levels at or past
 // the spill depth live in chunk-aligned files under a private
 // subdirectory of dir (see internal/extmem) instead of RAM. Like
 // WithSpace, the spill configuration is runtime wiring — it is not
 // recorded in snapshots and must be passed again at Load.
-func WithSpillDir(dir string) Option {
-	return func(c *Config) error {
-		if dir == "" {
-			return fmt.Errorf("WithSpillDir(%q): directory must be non-empty", dir)
-		}
-		c.spillDir = dir
-		c.mark(OptSpillDir)
-		return nil
-	}
-}
+func WithSpillDir(dir string) Option { return setting(OptSpillDir, value{s: dir}) }
 
 // WithSpillDepth sets the first level index backed by spill files
 // (>= 1; level 0 always stays in RAM). Requires WithSpillDir.
-func WithSpillDepth(n int) Option {
-	return func(c *Config) error {
-		if n < 1 {
-			return fmt.Errorf("WithSpillDepth(%d): spill depth must be at least 1", n)
-		}
-		c.spillDepth = n
-		c.mark(OptSpillDepth)
-		return nil
-	}
-}
+func WithSpillDepth(n int) Option { return setting(OptSpillDepth, value{i: int64(n)}) }
 
 // WithSpillCacheBytes sets the spill store's page-cache budget in bytes
 // (floored at a few chunks by the store). Requires WithSpillDir.
-func WithSpillCacheBytes(b int64) Option {
-	return func(c *Config) error {
-		if b <= 0 {
-			return fmt.Errorf("WithSpillCacheBytes(%d): cache budget must be positive", b)
-		}
-		c.spillCache = b
-		c.mark(OptSpillCacheBytes)
-		return nil
-	}
-}
+func WithSpillCacheBytes(b int64) Option { return setting(OptSpillCacheBytes, value{i: b}) }
 
 // WithFactory sets an explicit per-shard dictionary constructor on a
 // sharded map, for structures not in the registry. Mutually exclusive
@@ -439,8 +275,7 @@ func WithFactory(f shard.Factory) Option {
 			return fmt.Errorf("WithDictionary(nil): factory must be non-nil")
 		}
 		c.factory = f
-		c.mark(OptFactory)
-		return nil
+		return c.put(OptFactory, value{})
 	}
 }
 

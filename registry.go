@@ -1,12 +1,11 @@
 package repro
 
-// The v2 construction surface: one named-builder registry in front of
+// The construction surface: one named-builder registry in front of
 // every dictionary in the repository. Build("cola"), Build("btree"),
-// Build("sharded", WithInner("btree")) … replace the v1 per-structure
-// constructors (which remain as thin deprecated wrappers); Kinds and
-// KindDoc/KindOptions let tools enumerate the lineup, and Register
-// plugs external structures into the same machinery — the harness and
-// cmd/streambench run over whatever is registered.
+// Build("sharded", WithInner("btree")) … are the only constructors;
+// Kinds and KindDoc/KindOptions let tools enumerate the lineup, and
+// Register plugs external structures into the same machinery — the
+// harness and cmd/streambench run over whatever is registered.
 
 import (
 	"repro/internal/core"

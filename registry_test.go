@@ -310,32 +310,6 @@ func TestRegisterExternalKind(t *testing.T) {
 	}
 }
 
-// TestDeprecatedConstructorsStillWork pins the v1 surface: the typed
-// constructors remain usable and NewShardedMap accepts the unified
-// options, including an explicit factory.
-func TestDeprecatedConstructorsStillWork(t *testing.T) {
-	m := NewShardedMap(
-		WithShards(2),
-		WithDictionary(func(_ int, sp *Space) Dictionary {
-			return NewBTree(BTreeOptions{Space: sp})
-		}),
-		WithBatchSize(16),
-	)
-	for i := uint64(0); i < 1000; i++ {
-		m.Insert(i, i)
-	}
-	if m.Len() != 1000 {
-		t.Fatalf("Len = %d", m.Len())
-	}
-
-	defer func() {
-		if recover() == nil {
-			t.Error("NewShardedMap with invalid options did not panic")
-		}
-	}()
-	NewShardedMap(WithEpsilon(0.5))
-}
-
 // TestInsertBatchAdapter checks the generic fallback against a
 // structure with no native batch path.
 func TestInsertBatchAdapter(t *testing.T) {

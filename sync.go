@@ -9,7 +9,7 @@ import "repro/internal/syncdict"
 // Stats, Transfers, and InsertBatch each reach the inner structure
 // under the lock when it implements the corresponding interface, and
 // degrade gracefully (false / zero / an insert loop) when it does not;
-// Supports reports what is genuinely forwarded.
+// CapsOf reports what is genuinely forwarded.
 //
 // The implementation lives in internal/syncdict so the kind registry
 // can build it ("synchronized", optionally WithInner(kind)).

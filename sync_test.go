@@ -131,10 +131,6 @@ func TestSharedReadsFacadeProbe(t *testing.T) {
 	if CapsOf(accounted).SharedReads {
 		t.Fatal("DAM-charged shuttle tree must probe exclusive (lazy layout placement on the probe path)")
 	}
-	// The deprecated boolean veneer must agree with CapsOf.
-	if SharedReads(accounted) != CapsOf(accounted).SharedReads {
-		t.Fatal("deprecated SharedReads disagrees with CapsOf")
-	}
 }
 
 // TestSynchronizedConcurrentMixed hammers the wrapper from many
