@@ -26,9 +26,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sync"
 
 	"repro/internal/core"
+	"repro/internal/syncdict"
 	"repro/internal/wal"
 )
 
@@ -59,15 +59,14 @@ type Options struct {
 // deliberately does not implement core.Snapshotter — its persistence
 // story IS the WAL plus checkpoints, written via Checkpoint.
 //
-// Every mutation serializes on one RWMutex, so a Dict is safe for
-// concurrent use. When the inner structure genuinely supports shared
-// reads (core.AsSharedReader, probed once at construction), Search and
-// Range take the read side bracketed by Begin/EndSharedReads and scale
-// with concurrent readers — reads never touch the log, so nothing about
-// the durability contract changes; otherwise they serialize with the
-// mutations, the pre-shared-read behaviour. SharedReads reports which
-// mode the wrapper is in (its own methods exist unconditionally, so the
-// prober — not a type assertion — is the honest capability probe).
+// A Dict is safe for concurrent use: one syncdict guard around the
+// inner structure holds the lock, and its lock discipline (see
+// internal/syncdict) is the wrapper's. Mutations, checkpoints, Sync and
+// Close run on the guard's exclusive side, the monitoring reads Err and
+// Records on its read side. Search and Range forward to the guard, so
+// they share the read side when the inner structure supports shared
+// reads — reads never touch the log, so nothing about the durability
+// contract changes. SharedReads reports which mode the guard is in.
 //
 // Error contract: the Dictionary interface has no error returns, so a
 // failed log append — the point where durability would silently end —
@@ -83,9 +82,7 @@ type Options struct {
 // later — not on every record, which on a full disk would turn each
 // mutation into a whole-structure encode under the write lock.
 type Dict struct {
-	mu            sync.RWMutex
-	inner         core.Dictionary
-	sr            core.SharedReader // shared-read bracket target; nil = exclusive reads
+	g             *syncdict.Dict
 	log           *wal.WAL
 	ckptPath      string
 	every         int
@@ -112,17 +109,13 @@ func New(opt Options) *Dict {
 	if opt.Inner == nil || opt.Log == nil || opt.WriteSnapshot == nil || opt.CheckpointPath == "" {
 		panic("durable: New requires Inner, Log, CheckpointPath, and WriteSnapshot")
 	}
-	d := &Dict{
-		inner:         opt.Inner,
+	return &Dict{
+		g:             syncdict.New(opt.Inner),
 		log:           opt.Log,
 		ckptPath:      opt.CheckpointPath,
 		every:         opt.CheckpointEvery,
 		writeSnapshot: opt.WriteSnapshot,
 	}
-	if sr, ok := core.AsSharedReader(opt.Inner); ok {
-		d.sr = sr
-	}
-	return d
 }
 
 // mustAppend runs one log append and panics on failure (see the type
@@ -153,12 +146,12 @@ func (d *Dict) afterAppend() {
 // Insert implements core.Dictionary: the element is logged (one-record
 // batch), applied, and then acknowledged by returning.
 func (d *Dict) Insert(key, value uint64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.one[0] = core.Element{Key: key, Value: value}
-	d.mustAppend(d.log.AppendInsert(d.one[:]))
-	d.inner.Insert(key, value)
-	d.afterAppend()
+	d.g.Update(func() {
+		d.one[0] = core.Element{Key: key, Value: value}
+		d.mustAppend(d.log.AppendInsert(d.one[:]))
+		d.g.Unwrap().Insert(key, value)
+		d.afterAppend()
+	})
 }
 
 // InsertBatch implements core.BatchInserter: the whole batch becomes a
@@ -172,138 +165,76 @@ func (d *Dict) InsertBatch(elems []core.Element) {
 	if len(elems) == 0 {
 		return
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for len(elems) > 0 {
-		chunk := elems
-		if len(chunk) > wal.MaxBatchElems {
-			chunk = chunk[:wal.MaxBatchElems]
+	d.g.Update(func() {
+		for len(elems) > 0 {
+			chunk := elems
+			if len(chunk) > wal.MaxBatchElems {
+				chunk = chunk[:wal.MaxBatchElems]
+			}
+			d.mustAppend(d.log.AppendInsert(chunk))
+			core.InsertBatch(d.g.Unwrap(), chunk)
+			d.afterAppend()
+			elems = elems[len(chunk):]
 		}
-		d.mustAppend(d.log.AppendInsert(chunk))
-		core.InsertBatch(d.inner, chunk)
-		d.afterAppend()
-		elems = elems[len(chunk):]
-	}
+	})
 }
 
 // Delete implements core.Deleter. When the inner structure supports
 // deletion the key is logged then deleted; otherwise no record is
 // written and Delete reports false, like every other wrapper here.
-func (d *Dict) Delete(key uint64) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	del, ok := d.inner.(core.Deleter)
-	if !ok {
-		return false
-	}
-	d.oneKey[0] = key
-	d.mustAppend(d.log.AppendDelete(d.oneKey[:]))
-	present := del.Delete(key)
-	d.afterAppend()
+func (d *Dict) Delete(key uint64) (present bool) {
+	d.g.Update(func() {
+		del, ok := d.g.Unwrap().(core.Deleter)
+		if !ok {
+			return
+		}
+		d.oneKey[0] = key
+		d.mustAppend(d.log.AppendDelete(d.oneKey[:]))
+		present = del.Delete(key)
+		d.afterAppend()
+	})
 	return present
 }
 
-// Search implements core.Dictionary: on the read side of the lock,
-// bracketed, when the inner structure supports shared reads; exclusive
-// otherwise. Reads never touch the write-ahead log.
-func (d *Dict) Search(key uint64) (uint64, bool) {
-	if d.sr != nil {
-		d.mu.RLock()
-		d.sr.BeginSharedReads()
-		v, ok := d.inner.Search(key)
-		d.sr.EndSharedReads()
-		d.mu.RUnlock()
-		return v, ok
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.inner.Search(key)
-}
+// Search implements core.Dictionary through the guard. Reads never
+// touch the write-ahead log.
+func (d *Dict) Search(key uint64) (uint64, bool) { return d.g.Search(key) }
 
-// Range implements core.Dictionary, with the same lock choice as
-// Search. The callback runs under the lock and must not call back into
-// the dictionary at all — a reentrant RLock deadlocks against a
-// waiting writer. The bracket and lock release are deferred so a
-// panicking callback cannot leak the read lock or leave the shared
-// epoch open.
-func (d *Dict) Range(lo, hi uint64, fn func(core.Element) bool) {
-	if d.sr != nil {
-		d.mu.RLock()
-		d.sr.BeginSharedReads()
-		defer func() {
-			d.sr.EndSharedReads()
-			d.mu.RUnlock()
-		}()
-		d.inner.Range(lo, hi, fn)
-		return
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.inner.Range(lo, hi, fn)
-}
+// Range implements core.Dictionary through the guard; the callback must
+// not call back into the dictionary (see syncdict.Dict.Range).
+func (d *Dict) Range(lo, hi uint64, fn func(core.Element) bool) { d.g.Range(lo, hi, fn) }
 
 // SharedReads implements core.SharedReadProber: whether reads genuinely
 // run on the shared side, i.e. whether the inner structure honestly
 // declared shared-read safety.
-func (d *Dict) SharedReads() bool { return d.sr != nil }
+func (d *Dict) SharedReads() bool { return d.g.SharedReads() }
 
 // BeginSharedReads implements core.SharedReader for outer wrappers
 // nesting this one; a no-op when the inner structure is not shared-read
 // safe.
-func (d *Dict) BeginSharedReads() {
-	if d.sr != nil {
-		d.sr.BeginSharedReads()
-	}
-}
+func (d *Dict) BeginSharedReads() { d.g.BeginSharedReads() }
 
 // EndSharedReads closes the bracket opened by BeginSharedReads.
-func (d *Dict) EndSharedReads() {
-	if d.sr != nil {
-		d.sr.EndSharedReads()
-	}
-}
+func (d *Dict) EndSharedReads() { d.g.EndSharedReads() }
 
-// Len implements core.Dictionary on the read side of the lock, like
-// the other wrappers' aggregation accessors: inner Len is
-// mutation-free, so a monitoring poll never drains concurrent shared
-// searches.
-func (d *Dict) Len() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.inner.Len()
-}
+// Len implements core.Dictionary on the guard's read side, so a
+// monitoring poll never drains concurrent shared searches.
+func (d *Dict) Len() int { return d.g.Len() }
 
-// Stats forwards to the inner structure's Statser on the read side of
-// the lock (Stats accessors are mutation-free; shared-read-safe inners
-// load their search counter atomically); zero Stats without one.
-func (d *Dict) Stats() core.Stats {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if st, ok := d.inner.(core.Statser); ok {
-		return st.Stats()
-	}
-	return core.Stats{}
-}
+// Stats forwards to the inner structure's Statser on the guard's read
+// side; zero Stats without one.
+func (d *Dict) Stats() core.Stats { return d.g.Stats() }
 
 // Transfers forwards to the inner structure's TransferCounter on the
-// read side of the lock (only internally-synchronized store owners
-// implement it); zero without one.
-func (d *Dict) Transfers() uint64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if tc, ok := d.inner.(core.TransferCounter); ok {
-		return tc.Transfers()
-	}
-	return 0
-}
+// guard's read side; zero without one.
+func (d *Dict) Transfers() uint64 { return d.g.Transfers() }
 
 // Checkpoint captures the current state into the checkpoint snapshot
 // and empties the log. Reopening afterwards restores from the snapshot
 // alone.
-func (d *Dict) Checkpoint() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.checkpointLocked()
+func (d *Dict) Checkpoint() (err error) {
+	d.g.Update(func() { err = d.checkpointLocked() })
+	return err
 }
 
 func (d *Dict) checkpointLocked() error {
@@ -375,41 +306,37 @@ func syncDir(dir string) error {
 
 // Sync fsyncs the log, upgrading the acknowledgement contract from
 // process-crash-safe to power-loss-safe for everything appended so far.
-func (d *Dict) Sync() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.log.Sync()
+func (d *Dict) Sync() (err error) {
+	d.g.Update(func() { err = d.log.Sync() })
+	return err
 }
 
 // Err reports the first retained failure (a failed automatic
 // checkpoint, or the log error that caused a panic), nil if none. Like
-// Len, it takes the read side of the lock, so polling it never drains
+// Len, it runs on the guard's read side, so polling it never drains
 // concurrent shared searches.
 //
 //repro:readonly
-func (d *Dict) Err() error {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.err
+func (d *Dict) Err() (err error) {
+	d.g.View(func() { err = d.err })
+	return err
 }
 
 // Records reports how many records the log currently holds — the replay
-// cost of reopening without a fresh checkpoint — on the read side of
-// the lock.
+// cost of reopening without a fresh checkpoint — on the guard's read
+// side.
 //
 //repro:readonly
-func (d *Dict) Records() uint64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.log.Records()
+func (d *Dict) Records() (n uint64) {
+	d.g.View(func() { n = d.log.Records() })
+	return n
 }
 
 // Close closes the log file (without a final checkpoint or sync; call
 // those first if wanted). The dictionary must not be used afterwards.
-func (d *Dict) Close() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.log.Close()
+func (d *Dict) Close() (err error) {
+	d.g.Update(func() { err = d.log.Close() })
+	return err
 }
 
 // Caps implements core.CapsProber: what the wrapper genuinely forwards
@@ -419,14 +346,12 @@ func (d *Dict) Close() error {
 // native regardless of the inner (one log record per batch is the
 // wrapper's own fast path); Delete and Stats forward.
 func (d *Dict) Caps() core.Caps {
-	c := core.CapsOf(d.inner)
+	c := d.g.Caps()
 	c.Snapshot = false
 	c.WAL = true
-	c.Batch = true
-	c.SharedReads = d.sr != nil
 	return c
 }
 
 // Unwrap returns the inner dictionary for read-only inspection.
 // Mutating it directly bypasses the log and forfeits recovery.
-func (d *Dict) Unwrap() core.Dictionary { return d.inner }
+func (d *Dict) Unwrap() core.Dictionary { return d.g.Unwrap() }

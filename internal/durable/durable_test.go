@@ -319,8 +319,10 @@ func TestMonitoringAccessorsShareTheLock(t *testing.T) {
 	defer mustClose(t, d)
 	d.Insert(1, 1)
 
-	d.mu.RLock() // a search in flight
-	defer d.mu.RUnlock()
+	held, release := make(chan struct{}), make(chan struct{})
+	go d.g.View(func() { close(held); <-release }) // a search in flight
+	<-held
+	defer close(release)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

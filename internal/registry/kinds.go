@@ -201,14 +201,39 @@ func innerConfig(opts []Option) (*Config, error) {
 	return cfg, nil
 }
 
-func buildSharded(c *Config) (core.Dictionary, error) {
-	innerKind, innerOpts, hasInner := c.Inner()
-	factory := c.Factory()
-	if hasInner && factory != nil {
-		return nil, fmt.Errorf("WithInner and WithDictionary are mutually exclusive")
+// wrappedInner is a wrapper kind's resolved WithInner.
+type wrappedInner struct {
+	kind string
+	opts []Option
+	cfg  *Config // opts folded, for checking what the caller set
+	e    *entry  // nil when kind is unregistered (lenient only)
+}
+
+// resolveInner resolves a wrapper kind's inner: the WithInner kind,
+// "cola" when unset, its options folded, and its registration. An
+// unregistered kind fails here unless lenient: the sharded map
+// validates its inner by building it once, and the error its callers
+// see is that build's.
+func resolveInner(c *Config, lenient bool) (wrappedInner, error) {
+	kind, opts, ok := c.Inner()
+	if !ok {
+		kind = "cola"
 	}
-	if !hasInner {
-		innerKind = "cola"
+	cfg, err := innerConfig(opts)
+	if err != nil {
+		return wrappedInner{}, err
+	}
+	e, known := lookup(kind)
+	if !known && !lenient {
+		return wrappedInner{}, fmt.Errorf("unknown inner kind %q (registered kinds: %s)", kind, strings.Join(Kinds(), ", "))
+	}
+	return wrappedInner{kind, opts, cfg, e}, nil
+}
+
+func buildSharded(c *Config) (core.Dictionary, error) {
+	factory := c.Factory()
+	if c.IsSet(OptInner) && factory != nil {
+		return nil, fmt.Errorf("WithInner and WithDictionary are mutually exclusive")
 	}
 
 	var sopts []shard.Option
@@ -230,26 +255,33 @@ func buildSharded(c *Config) (core.Dictionary, error) {
 	// Registry-built shards: validate the inner spec once up front so a
 	// bad inner kind or option fails with an error here instead of a
 	// panic inside the per-shard factory.
-	icfg, err := innerConfig(innerOpts)
+	in, err := resolveInner(c, true)
 	if err != nil {
 		return nil, err
 	}
-	if icfg.IsSet(OptSpace) {
-		return nil, fmt.Errorf("inner kind %q: each shard receives its private space; use WithShardDAM instead of an inner WithSpace", innerKind)
+	if in.cfg.IsSet(OptSpace) {
+		return nil, fmt.Errorf("inner kind %q: each shard receives its private space; use WithShardDAM instead of an inner WithSpace", in.kind)
 	}
-	if _, err := Build(innerKind, innerOpts...); err != nil {
+	probe, err := Build(in.kind, in.opts...)
+	if err != nil {
 		return nil, err
 	}
-	innerTakesSpace := Accepts(innerKind, OptSpace)
+	// The probe only validates; release anything it opened (a
+	// spill-configured gcola holds an open spill directory). It holds no
+	// state, so its Close error is irrelevant.
+	if cl, ok := probe.(io.Closer); ok {
+		_ = cl.Close()
+	}
+	innerTakesSpace := in.e.accepts[OptSpace]
 	if _, _, damSet := c.ShardDAM(); damSet && !innerTakesSpace {
-		return nil, fmt.Errorf("WithShardDAM has no effect: inner kind %q does not accept WithSpace", innerKind)
+		return nil, fmt.Errorf("WithShardDAM has no effect: inner kind %q does not accept WithSpace", in.kind)
 	}
 	sopts = append(sopts, shard.WithDictionary(func(_ int, sp *dam.Space) core.Dictionary {
-		opts := innerOpts
+		opts := in.opts
 		if innerTakesSpace {
-			opts = append(append([]Option(nil), innerOpts...), WithSpace(sp))
+			opts = append(append([]Option(nil), in.opts...), WithSpace(sp))
 		}
-		d, err := Build(innerKind, opts...)
+		d, err := Build(in.kind, opts...)
 		if err != nil {
 			// Unreachable: the same spec just built during validation.
 			panic("repro: sharded inner build failed after validation: " + err.Error())
@@ -295,20 +327,13 @@ func buildDurable(c *Config) (core.Dictionary, error) {
 	if !ok {
 		return nil, fmt.Errorf("durable requires WithWALPath")
 	}
-	innerKind, innerOpts, hasInner := c.Inner()
-	if !hasInner {
-		innerKind = "cola"
-	}
-	icfg, err := innerConfig(innerOpts)
+	in, err := resolveInner(c, false)
 	if err != nil {
 		return nil, err
 	}
-	ie, known := lookup(innerKind)
-	if !known {
-		return nil, fmt.Errorf("unknown inner kind %q (registered kinds: %s)", innerKind, strings.Join(Kinds(), ", "))
-	}
-	if !ie.info.Caps.Snapshot {
-		return nil, fmt.Errorf("inner kind %q cannot snapshot itself (capabilities: %s); durable needs a snapshot-capable inner for checkpoints", innerKind, ie.info.Caps)
+	innerKind, innerOpts, icfg := in.kind, in.opts, in.cfg
+	if !in.e.info.Caps.Snapshot {
+		return nil, fmt.Errorf("inner kind %q cannot snapshot itself (capabilities: %s); durable needs a snapshot-capable inner for checkpoints", innerKind, in.e.info.Caps)
 	}
 	// The runtime-wiring check walks the whole inner option tree: a
 	// WithSpace (or spill option) one wrapper deeper (e.g.
@@ -334,7 +359,7 @@ func buildDurable(c *Config) (core.Dictionary, error) {
 		// alone, BEFORE the payload restore: the header is tens of bytes,
 		// the payload can be the whole structure, and a conflicting reopen
 		// must not pay for (then discard) a full restore.
-		if hasInner {
+		if c.IsSet(OptInner) {
 			if err := checkpointHeaderConflict(f, ckptPath, innerKind, icfg); err != nil {
 				f.Close()
 				return nil, err
@@ -451,28 +476,21 @@ func checkpointHeaderConflict(f *os.File, ckptPath, innerKind string, icfg *Conf
 }
 
 func buildSynchronized(c *Config) (core.Dictionary, error) {
-	innerKind, innerOpts, hasInner := c.Inner()
-	if !hasInner {
-		innerKind = "cola"
-	}
-	icfg, err := innerConfig(innerOpts)
+	in, err := resolveInner(c, false)
 	if err != nil {
 		return nil, err
 	}
-	if _, known := Info(innerKind); !known {
-		return nil, fmt.Errorf("unknown inner kind %q (registered kinds: %s)", innerKind, strings.Join(Kinds(), ", "))
-	}
-	opts := innerOpts
+	opts := in.opts
 	if c.IsSet(OptSpace) {
-		if icfg.IsSet(OptSpace) {
-			return nil, fmt.Errorf("inner kind %q: pass the space either on synchronized or inside WithInner, not both", innerKind)
+		if in.cfg.IsSet(OptSpace) {
+			return nil, fmt.Errorf("inner kind %q: pass the space either on synchronized or inside WithInner, not both", in.kind)
 		}
-		if !Accepts(innerKind, OptSpace) {
-			return nil, fmt.Errorf("inner kind %q does not accept WithSpace", innerKind)
+		if !in.e.accepts[OptSpace] {
+			return nil, fmt.Errorf("inner kind %q does not accept WithSpace", in.kind)
 		}
-		opts = append(append([]Option(nil), innerOpts...), WithSpace(c.Space()))
+		opts = append(append([]Option(nil), in.opts...), WithSpace(c.Space()))
 	}
-	d, err := Build(innerKind, opts...)
+	d, err := Build(in.kind, opts...)
 	if err != nil {
 		return nil, err
 	}

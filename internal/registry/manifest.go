@@ -9,12 +9,11 @@ package registry
 import (
 	"fmt"
 	"io"
-	"math/bits"
 	"reflect"
-	"runtime"
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/shard"
 	"repro/internal/snap"
 )
 
@@ -175,7 +174,7 @@ func buildSpec(kind string, c *Config, pinDefaults bool) (*snap.Spec, error) {
 	// durable checkpoint specs) the build-time default is recorded,
 	// which is what the same-process builder produced.
 	if pinDefaults && Accepts(kind, OptShards) && !c.IsSet(OptShards) {
-		spec.Opts = append(spec.Opts, snap.Int(OptShards, int64(defaultShards())))
+		spec.Opts = append(spec.Opts, snap.Int(OptShards, int64(shard.Count(0))))
 	}
 	return spec, nil
 }
@@ -216,16 +215,6 @@ func specConflict(req, rec *snap.Spec) (string, bool) {
 		}
 	}
 	return "", false
-}
-
-// defaultShards mirrors the shard package's default partition count
-// (next power of two >= GOMAXPROCS).
-func defaultShards() int {
-	n := runtime.GOMAXPROCS(0)
-	if n <= 1 {
-		return 1
-	}
-	return 1 << bits.Len(uint(n-1))
 }
 
 // optionsFromSpec converts a decoded header spec back into buildable

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 
 	"repro/internal/core"
 	"repro/internal/dam"
@@ -64,15 +63,6 @@ type meta struct {
 	Shards int    `json:"shards"`
 }
 
-// ceilPow2 rounds n up to a power of two (minimum 1).
-func ceilPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
 // Open builds the composition a Spec names. With a WALDir it replays
 // every shard's log (and checkpoint) first, so the returned dictionary
 // already holds every previously acknowledged write; the directory's
@@ -86,10 +76,7 @@ func Open(spec Spec) (*Handle, error) {
 	}
 
 	if spec.WALDir == "" {
-		if spec.Shards == 0 {
-			spec.Shards = runtime.GOMAXPROCS(0)
-		}
-		spec.Shards = ceilPow2(spec.Shards)
+		spec.Shards = shard.Count(spec.Shards)
 		d, err := registry.Build("sharded",
 			registry.WithShards(spec.Shards),
 			registry.WithInner(spec.Kind))
@@ -152,18 +139,13 @@ func reconcileMeta(spec *Spec) error {
 		if m.Kind != spec.Kind {
 			return fmt.Errorf("server: %s was created for kind %q, spec asks for %q", path, m.Kind, spec.Kind)
 		}
-		if spec.Shards == 0 {
-			spec.Shards = m.Shards
-		} else if ceilPow2(spec.Shards) != m.Shards {
-			return fmt.Errorf("server: %s was created with %d shards, spec asks for %d", path, m.Shards, ceilPow2(spec.Shards))
+		if spec.Shards != 0 && shard.Count(spec.Shards) != m.Shards {
+			return fmt.Errorf("server: %s was created with %d shards, spec asks for %d", path, m.Shards, shard.Count(spec.Shards))
 		}
 		spec.Shards = m.Shards
 		return nil
 	case os.IsNotExist(err):
-		if spec.Shards == 0 {
-			spec.Shards = runtime.GOMAXPROCS(0)
-		}
-		spec.Shards = ceilPow2(spec.Shards)
+		spec.Shards = shard.Count(spec.Shards)
 		raw, err := json.Marshal(meta{Schema: metaSchema, Kind: spec.Kind, Shards: spec.Shards})
 		if err != nil {
 			return err

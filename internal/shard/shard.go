@@ -1,23 +1,20 @@
 // Package shard provides a hash-partitioned concurrent dictionary: N
 // independent single-threaded dictionaries (any structure from this
 // repository — COLA, deamortized COLA, shuttle tree, B-tree, BRT) each
-// guarded by its own sync.RWMutex, with fibonacci-hash key→shard
-// routing. Inserts and searches on different shards proceed in
-// parallel, and a level merge inside one shard never blocks the others
-// — the multi-core scaling story the single global lock of
-// repro.SynchronizedDictionary cannot offer.
+// behind its own synchronized guard (internal/syncdict), with
+// fibonacci-hash key→shard routing. Inserts and searches on different
+// shards proceed in parallel, and a level merge inside one shard never
+// blocks the others — the multi-core scaling story the single global
+// lock of repro.SynchronizedDictionary cannot offer.
 //
 // Parallelism comes from two sources. Partitioning: with S shards, up
-// to S mutations run concurrently. Reader sharing: when the per-shard
-// structures genuinely support shared reads (core.AsSharedReader —
-// atomic counters, pooled read scratch, and frozen DAM accounting
-// inside Begin/EndSharedReads brackets), Search and Range take the
-// shard's RWMutex on its read side, so any number of searches proceed
-// concurrently even within one shard. For inner structures that stay
-// exclusive (the deamortized COLAs, an accounted shuttle tree) reads
-// fall back to the shard's exclusive lock and only the partitioning
-// term remains. The read side also serves the aggregation
-// paths (Len, Stats, Transfers), which only read structure state.
+// to S mutations run concurrently. Reader sharing: a shard whose
+// structure genuinely supports shared reads serves Search and Range on
+// its guard's read side, so any number of searches proceed concurrently
+// even within one shard; for inner structures that stay exclusive (the
+// deamortized COLAs, an accounted shuttle tree) only the partitioning
+// term remains. The lock discipline — which side each operation takes,
+// and the release of every lock on panic — is syncdict's.
 //
 // Construction uses functional options:
 //
@@ -42,6 +39,7 @@ import (
 	"repro/internal/cola"
 	"repro/internal/core"
 	"repro/internal/dam"
+	"repro/internal/syncdict"
 )
 
 // Factory builds the dictionary for one shard. The space is the shard's
@@ -61,14 +59,24 @@ type config struct {
 // Option configures New, in the functional-options style.
 type Option func(*config)
 
-// WithShards sets the number of partitions. Values are rounded up to
-// the next power of two so shard routing stays a single multiply-shift;
-// n <= 0 panics. The default is the next power of two >= GOMAXPROCS.
+// WithShards sets the number of partitions, rounded up as Count
+// describes; n <= 0 panics.
 func WithShards(n int) Option {
 	if n <= 0 {
 		panic("shard: WithShards requires n > 0")
 	}
-	return func(c *config) { c.shards = ceilPow2(n) }
+	return func(c *config) { c.shards = n }
+}
+
+// Count returns the number of partitions New builds for WithShards(n):
+// n rounded up to the next power of two, so shard routing stays a
+// single multiply-shift. n <= 0 stands for the default, the next power
+// of two >= GOMAXPROCS.
+func Count(n int) int {
+	if n <= 0 {
+		n = runtime.GOMAXPROCS(0)
+	}
+	return 1 << bits.Len(uint(n-1))
 }
 
 // WithDictionary sets the per-shard dictionary constructor. The default
@@ -102,39 +110,21 @@ func WithDAM(blockBytes, cacheBytes int64) Option {
 	}
 }
 
-func ceilPow2(n int) int {
-	if n <= 1 {
-		return 1
-	}
-	return 1 << bits.Len(uint(n-1))
-}
-
 // fibMult is 2^64 / phi, the multiplier of fibonacci hashing; odd, so
 // multiplication is a bijection on uint64 and the high bits mix every
 // input bit. The same constant drives the repo's workload generators.
 const fibMult = 0x9E3779B97F4A7C15
 
-// state is one partition: a dictionary and its lock, padded apart from
-// its neighbours so per-shard locks do not false-share a cache line.
-type state struct {
-	mu    sync.RWMutex
-	d     core.Dictionary
-	sr    core.SharedReader // bracket target; non-nil only when m.shared
-	store *dam.Store        // nil unless WithDAM
-	_     [16]byte          // pad to separate adjacent shards' hot words
-}
-
 // Map is the sharded concurrent dictionary. It implements
 // core.Dictionary, core.Deleter, and core.Statser; every method is safe
 // for concurrent use.
 type Map struct {
-	shards    []*state
-	shift     uint // 64 - log2(len(shards))
+	shards    []*syncdict.Dict
+	stores    []*dam.Store // per-shard DAM stores; nil entries unless WithDAM
+	shift     uint         // 64 - log2(len(shards))
 	batchSize int
-	// shared records whether EVERY shard's structure honestly declared
-	// shared-read safety at construction; Search/Range then take the
-	// per-shard read lock. All-or-nothing keeps the probe answer and
-	// the lock discipline uniform across shards.
+	// shared records whether every shard's guard serves shared reads:
+	// the answer SharedReads gives for the map as a whole.
 	shared bool
 }
 
@@ -152,44 +142,32 @@ var (
 // New builds a sharded map from the given options.
 func New(opts ...Option) *Map {
 	cfg := config{
-		shards:    ceilPow2(runtime.GOMAXPROCS(0)),
 		batchSize: 256,
 		factory:   func(_ int, sp *dam.Space) core.Dictionary { return cola.NewCOLA(sp) },
 	}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
+	n := Count(cfg.shards)
 	m := &Map{
-		shards:    make([]*state, cfg.shards),
-		shift:     uint(64 - bits.TrailingZeros(uint(cfg.shards))),
+		shards:    make([]*syncdict.Dict, n),
+		stores:    make([]*dam.Store, n),
+		shift:     uint(64 - bits.TrailingZeros(uint(n))),
 		batchSize: cfg.batchSize,
+		shared:    true,
 	}
-	m.shared = true
 	for i := range m.shards {
-		st := &state{}
 		var sp *dam.Space
 		if cfg.useDAM {
-			st.store = dam.NewStore(cfg.blockBytes, cfg.cacheBytes)
-			sp = st.store.Space("shard")
+			m.stores[i] = dam.NewStore(cfg.blockBytes, cfg.cacheBytes)
+			sp = m.stores[i].Space("shard")
 		}
-		st.d = cfg.factory(i, sp)
-		if st.d == nil {
+		d := cfg.factory(i, sp)
+		if d == nil {
 			panic("shard: factory returned a nil dictionary")
 		}
-		if sr, ok := core.AsSharedReader(st.d); ok {
-			st.sr = sr
-		} else {
-			m.shared = false
-		}
-		m.shards[i] = st
-	}
-	if !m.shared {
-		// All-or-nothing: a mixed lineup (possible only via a factory
-		// that varies by shard index) degrades every shard to exclusive
-		// reads so the probe answer stays uniform.
-		for _, st := range m.shards {
-			st.sr = nil
-		}
+		m.shards[i] = syncdict.New(d)
+		m.shared = m.shared && m.shards[i].SharedReads()
 	}
 	return m
 }
@@ -201,7 +179,7 @@ func (m *Map) shardIdxOf(key uint64) int {
 	return int((key * fibMult) >> m.shift)
 }
 
-func (m *Map) shardOf(key uint64) *state {
+func (m *Map) shardOf(key uint64) *syncdict.Dict {
 	return m.shards[m.shardIdxOf(key)]
 }
 
@@ -211,37 +189,32 @@ func (m *Map) NumShards() int { return len(m.shards) }
 // InnerAt returns shard i's inner dictionary, for type and capability
 // introspection (e.g. verifying a save's claimed inner kind against the
 // live map). Callers must not mutate it: the shard's lock is not held.
-func (m *Map) InnerAt(i int) core.Dictionary { return m.shards[i].d }
+func (m *Map) InnerAt(i int) core.Dictionary { return m.shards[i].Unwrap() }
 
 // SharedReads implements core.SharedReadProber: true only when every
 // shard's structure honestly declared shared-read safety, i.e. when
-// Search/Range actually run under the read lock. The map's own methods
-// exist unconditionally, so this — not a type assertion — is the
-// authoritative probe, exactly as on the synchronized wrapper; the
-// registry's Caps.SharedReads flag for "sharded" means "forwarded when
-// the inner kind has it", and this probe is how the built instance
+// Search/Range run on the read side of every shard's guard. The map's
+// own methods exist unconditionally, so this — not a type assertion —
+// is the authoritative probe, exactly as on the synchronized wrapper;
+// the registry's Caps.SharedReads flag for "sharded" means "forwarded
+// when the inner kind has it", and this probe is how the built instance
 // answers for a concrete (possibly nested) inner.
 func (m *Map) SharedReads() bool { return m.shared }
 
 // BeginSharedReads implements core.SharedReader for outer wrappers
-// nesting this map: the bracket forwards to every shard (brackets
-// nest), and is a no-op when the map is not shared-read capable.
+// nesting this map: the bracket forwards to every shard's guard
+// (brackets nest), which is a no-op for a shard that is not shared-read
+// capable.
 func (m *Map) BeginSharedReads() {
-	if !m.shared {
-		return
-	}
 	for _, s := range m.shards {
-		s.sr.BeginSharedReads()
+		s.BeginSharedReads()
 	}
 }
 
 // EndSharedReads closes the bracket opened by BeginSharedReads.
 func (m *Map) EndSharedReads() {
-	if !m.shared {
-		return
-	}
 	for _, s := range m.shards {
-		s.sr.EndSharedReads()
+		s.EndSharedReads()
 	}
 }
 
@@ -255,51 +228,22 @@ func (m *Map) EndSharedReads() {
 // non-snapshot inner), and batch is native regardless of the inner:
 // ApplyBatch's per-shard grouping is the map's own fast path.
 func (m *Map) Caps() core.Caps {
-	c := core.CapsOf(m.shards[0].d)
-	c.Batch = true
+	c := m.shards[0].Caps()
 	c.SharedReads = m.shared
 	return c
 }
 
 // Insert implements core.Dictionary.
-func (m *Map) Insert(key, value uint64) {
-	s := m.shardOf(key)
-	s.mu.Lock()
-	s.d.Insert(key, value)
-	s.mu.Unlock()
-}
+func (m *Map) Insert(key, value uint64) { m.shardOf(key).Insert(key, value) }
 
-// Search implements core.Dictionary. With shared-read-safe inner
-// structures the shard lock is taken on its read side and bracketed
-// (see the package comment), so searches scale with readers even
-// within one shard; otherwise the lock is exclusive.
-func (m *Map) Search(key uint64) (uint64, bool) {
-	s := m.shardOf(key)
-	if m.shared {
-		s.mu.RLock()
-		s.sr.BeginSharedReads()
-		v, ok := s.d.Search(key)
-		s.sr.EndSharedReads()
-		s.mu.RUnlock()
-		return v, ok
-	}
-	s.mu.Lock()
-	v, ok := s.d.Search(key)
-	s.mu.Unlock()
-	return v, ok
-}
+// Search implements core.Dictionary on the key's shard, on its guard's
+// read side when the shard's structure supports shared reads, so
+// searches scale with readers even within one shard.
+func (m *Map) Search(key uint64) (uint64, bool) { return m.shardOf(key).Search(key) }
 
 // Delete implements core.Deleter, forwarding to the shard's structure
 // if it supports deletion and reporting false otherwise.
-func (m *Map) Delete(key uint64) bool {
-	s := m.shardOf(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if del, ok := s.d.(core.Deleter); ok {
-		return del.Delete(key)
-	}
-	return false
-}
+func (m *Map) Delete(key uint64) bool { return m.shardOf(key).Delete(key) }
 
 // Len implements core.Dictionary: the sum of live keys over all shards.
 // Shards are read-locked one at a time, so the total is a consistent
@@ -307,9 +251,7 @@ func (m *Map) Delete(key uint64) bool {
 func (m *Map) Len() int {
 	n := 0
 	for _, s := range m.shards {
-		s.mu.RLock()
-		n += s.d.Len()
-		s.mu.RUnlock()
+		n += s.Len()
 	}
 	return n
 }
@@ -319,26 +261,21 @@ func (m *Map) Len() int {
 func (m *Map) Stats() core.Stats {
 	var total core.Stats
 	for _, s := range m.shards {
-		s.mu.RLock()
-		if st, ok := s.d.(core.Statser); ok {
-			total.Add(st.Stats())
-		}
-		s.mu.RUnlock()
+		total.Add(s.Stats())
 	}
 	return total
 }
 
 // Transfers reports the aggregate DAM block transfers across all
-// per-shard stores (zero unless built WithDAM).
-func (m *Map) Transfers() uint64 {
-	var total uint64
-	for _, s := range m.shards {
-		if s.store == nil {
-			continue
+// per-shard stores (zero unless built WithDAM), each read on its
+// shard's read side.
+//
+//repro:readonly
+func (m *Map) Transfers() (total uint64) {
+	for i, st := range m.stores {
+		if st != nil {
+			m.shards[i].View(func() { total += st.Transfers() })
 		}
-		s.mu.RLock()
-		total += s.store.Transfers()
-		s.mu.RUnlock()
 	}
 	return total
 }
@@ -393,17 +330,7 @@ func (m *Map) Range(lo, hi uint64, fn func(core.Element) bool) {
 	sc := rangePool.Get().(*rangeScratch)
 	defer sc.release()
 	for _, s := range m.shards {
-		if m.shared {
-			s.mu.RLock()
-			s.sr.BeginSharedReads()
-			s.d.Range(lo, hi, sc.collect)
-			s.sr.EndSharedReads()
-			s.mu.RUnlock()
-		} else {
-			s.mu.Lock()
-			s.d.Range(lo, hi, sc.collect)
-			s.mu.Unlock()
-		}
+		s.Range(lo, hi, sc.collect)
 		sc.ends = append(sc.ends, len(sc.buf))
 	}
 	// Rebuild the run views only now: collect may have grown (and
@@ -536,10 +463,7 @@ func (m *Map) ApplyBatch(elems []core.Element) {
 	for i := 0; i < nShards; i++ {
 		end := offs[i]
 		if end > start {
-			s := m.shards[i]
-			s.mu.Lock()
-			core.InsertBatch(s.d, buf[start:end])
-			s.mu.Unlock()
+			m.shards[i].InsertBatch(buf[start:end])
 		}
 		start = end
 	}

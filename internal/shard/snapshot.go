@@ -57,15 +57,11 @@ func (m *Map) WriteTo(w io.Writer) (int64, error) {
 	}
 	var buf bytes.Buffer
 	for i, s := range m.shards {
-		sn, ok := s.d.(core.Snapshotter)
-		if !ok {
-			return n, fmt.Errorf("shard: inner dictionary %T is not a Snapshotter", s.d)
+		if _, ok := s.Unwrap().(core.Snapshotter); !ok {
+			return n, fmt.Errorf("shard: inner dictionary %T is not a Snapshotter", s.Unwrap())
 		}
 		buf.Reset()
-		s.mu.Lock()
-		_, err := sn.WriteTo(&buf)
-		s.mu.Unlock()
-		if err != nil {
+		if _, err := s.WriteTo(&buf); err != nil {
 			return n, fmt.Errorf("shard: snapshotting shard %d: %w", i, err)
 		}
 		binary.LittleEndian.PutUint64(head[:8], uint64(buf.Len()))
@@ -117,9 +113,8 @@ func (m *Map) ReadFrom(r io.Reader) (int64, error) {
 	}
 	var section bytes.Buffer
 	for i, s := range m.shards {
-		sn, ok := s.d.(core.Snapshotter)
-		if !ok {
-			return n, fmt.Errorf("shard: inner dictionary %T is not a Snapshotter", s.d)
+		if _, ok := s.Unwrap().(core.Snapshotter); !ok {
+			return n, fmt.Errorf("shard: inner dictionary %T is not a Snapshotter", s.Unwrap())
 		}
 		if err := readFull(head[:8]); err != nil {
 			return n, err
@@ -136,10 +131,7 @@ func (m *Map) ReadFrom(r io.Reader) (int64, error) {
 			return n, fmt.Errorf("shard: shard %d payload truncated at %d of %d bytes: %w",
 				i, copied, payloadLen, core.ErrCorrupt)
 		}
-		s.mu.Lock()
-		_, err = sn.ReadFrom(bytes.NewReader(section.Bytes()))
-		s.mu.Unlock()
-		if err != nil {
+		if _, err := s.ReadFrom(bytes.NewReader(section.Bytes())); err != nil {
 			return n, fmt.Errorf("shard: restoring shard %d: %w", i, err)
 		}
 	}

@@ -1,12 +1,14 @@
-// Package syncdict provides the coarse-grained concurrency wrapper of
-// the public facade: one sync.RWMutex around a single-threaded
-// dictionary. It lives in an internal package (rather than in the
-// facade) so the kind registry can construct it like any other
-// structure; the facade re-exports it as repro.SynchronizedDictionary.
+// Package syncdict provides the repository's one concurrency guard: a
+// sync.RWMutex around a single-threaded dictionary. The facade
+// re-exports it as repro.SynchronizedDictionary, the sharded map keeps
+// one per partition, and the durable wrapper keeps one around its inner
+// structure, so the lock discipline below is written down once. It
+// lives in an internal package (rather than in the facade) so the kind
+// registry can construct it like any other structure.
 //
 // # Lock discipline
 //
-// The wrapper maintains one invariant: the exclusive side of the
+// The guard maintains one invariant: the exclusive side of the
 // RWMutex is held for every call that may mutate the inner structure
 // non-atomically, and the read side serves everything that provably
 // cannot. Concretely:
@@ -26,6 +28,25 @@
 //     construction time), bracketed by Begin/EndSharedReads so a
 //     DAM-charged inner freezes its accounting; they fall back to the
 //     exclusive lock otherwise.
+//
+// # Hooks
+//
+// A wrapper built on the guard runs work of its own through two hooks:
+// Update runs a function on the exclusive side (the durable wrapper's
+// log-then-apply mutations, checkpoint, Sync and Close), View on the
+// read side (monitoring reads of wrapper state). View opens no
+// shared-read bracket, and its function must mutate nothing
+// non-atomically; a method that reads through it carries
+// //repro:readonly so reprolint checks exactly that. Every other
+// wrapper operation forwards to the guard's own method.
+//
+// # Panics
+//
+// Every lock and bracket the guard takes is released by a deferred
+// call, so a panic in the inner structure, a Range callback or a hook
+// function unwinds with the lock free and the bracket closed. A spilled
+// gcola panics on a read error and the durable wrapper on a failed log
+// append; a caller that recovers either can keep using the dictionary.
 package syncdict
 
 import (
@@ -91,6 +112,24 @@ var (
 	_ core.CapsProber       = (*Dict)(nil)
 )
 
+// Update runs fn on the exclusive side of the lock: the hook for a
+// wrapper's own mutations around the inner structure. The lock is
+// released even if fn panics.
+func (s *Dict) Update(fn func()) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	fn()
+}
+
+// View runs fn on the read side of the lock, alongside shared searches
+// and the aggregation accessors. fn must mutate nothing non-atomically
+// (see the package comment); the lock is released even if fn panics.
+func (s *Dict) View(fn func()) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	fn()
+}
+
 // Insert implements core.Dictionary.
 func (s *Dict) Insert(key, value uint64) {
 	s.mu.Lock()
@@ -113,16 +152,15 @@ func (s *Dict) InsertBatch(elems []core.Element) {
 // comment); otherwise the lock is exclusive, the pre-shared-read
 // behaviour.
 func (s *Dict) Search(key uint64) (uint64, bool) {
-	if s.sr != nil {
-		s.mu.RLock()
-		s.sr.BeginSharedReads()
-		v, ok := s.d.Search(key)
-		s.sr.EndSharedReads()
-		s.mu.RUnlock()
-		return v, ok
+	if s.sr == nil {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.d.Search(key)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	s.sr.BeginSharedReads()
+	defer s.sr.EndSharedReads()
 	return s.d.Search(key)
 }
 
@@ -131,22 +169,18 @@ func (s *Dict) Search(key uint64) (uint64, bool) {
 // the dictionary at all — not even Search: a writer waiting between
 // this goroutine's read lock and a reentrant RLock deadlocks both
 // (sync.RWMutex forbids recursive read-locking for exactly that
-// reason). The bracket and lock release are deferred so a panicking
-// callback cannot leak the read lock or leave the store's shared-read
-// epoch open.
+// reason).
 func (s *Dict) Range(lo, hi uint64, fn func(core.Element) bool) {
-	if s.sr != nil {
-		s.mu.RLock()
-		s.sr.BeginSharedReads()
-		defer func() {
-			s.sr.EndSharedReads()
-			s.mu.RUnlock()
-		}()
+	if s.sr == nil {
+		s.mu.Lock()
+		defer s.mu.Unlock()
 		s.d.Range(lo, hi, fn)
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	s.sr.BeginSharedReads()
+	defer s.sr.EndSharedReads()
 	s.d.Range(lo, hi, fn)
 }
 
@@ -253,7 +287,7 @@ func (s *Dict) EndSharedReads() {
 // interface unconditionally, so type assertions on it always succeed
 // and this is the honest capability probe, reporting what is genuinely
 // forwarded to the inner structure. The sharded map and the durable
-// wrapper expose the same probe, so the wrappers report symmetrically.
+// wrapper start from this answer, so the wrappers report symmetrically.
 // Batch is native regardless of the inner: the whole batch applies
 // under one lock acquisition, the wrapper's own fast path.
 func (s *Dict) Caps() core.Caps {

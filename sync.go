@@ -11,6 +11,14 @@ import "repro/internal/syncdict"
 // degrade gracefully (false / zero / an insert loop) when it does not;
 // CapsOf reports what is genuinely forwarded.
 //
+// It is the repository's one concurrency guard: the sharded map and the
+// durable wrapper lock through it too. Two hooks serve a wrapper's own
+// work under the lock: Update runs a function on the exclusive side,
+// View on the read side (the function must then mutate nothing). Every
+// lock and shared-read bracket is released by a deferred call, so a
+// panic in the inner structure, a Range callback or a hook function
+// leaves the dictionary unlocked for a caller that recovers it.
+//
 // The implementation lives in internal/syncdict so the kind registry
 // can build it ("synchronized", optionally WithInner(kind)).
 type SynchronizedDictionary = syncdict.Dict
