@@ -146,7 +146,11 @@ func main() {
 		cand.Add(recs...)
 	}
 	if *out != "" {
-		if err := cand.WriteFile(*out); err != nil {
+		f, err := perf.CreateFile(*out)
+		if err == nil {
+			err = f.Commit(cand.Write)
+		}
+		if err != nil {
 			fatalUsage("perfgate: -out: %v", err)
 		}
 	}
@@ -251,8 +255,8 @@ func reportVerdicts(w io.Writer, verdicts []hypothesis.Verdict) bool {
 			status += "*"
 		}
 		fmt.Fprintf(w, "%-28s %-9s experiment %.3f (>= %.3f)  control %.3f (<= %.3f)\n",
-			v.Name, status, v.Experiment.Observed, v.Prediction.MinRatio*(1-v.Prediction.Tolerance),
-			v.Control.Observed, v.Prediction.ControlMax*(1+v.Prediction.Tolerance))
+			v.Name, status, v.Experiment.Observed, v.Prediction.Floor(),
+			v.Control.Observed, v.Prediction.Ceiling())
 		for _, r := range v.Reasons {
 			fmt.Fprintf(w, "    - %s\n", r)
 		}

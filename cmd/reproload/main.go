@@ -58,8 +58,18 @@ func main() {
 		Preload:    *preload,
 		Timeout:    *timeout,
 	}
+	// The -json target is opened before the run, so an unwritable path
+	// fails fast, and replaced only by a complete report.
+	var out *perf.File
+	if *jsonPath != "" {
+		if out, err = perf.CreateFile(*jsonPath); err != nil {
+			fmt.Fprintln(os.Stderr, "reproload: -json:", err)
+			os.Exit(2)
+		}
+	}
 	sum, err := loadgen.Run(cfg)
 	if err != nil {
+		out.Abort()
 		fmt.Fprintln(os.Stderr, "reproload:", err)
 		os.Exit(1)
 	}
@@ -81,17 +91,12 @@ func main() {
 			time.Duration(h.Quantile(0.5)), time.Duration(h.Quantile(0.99)), time.Duration(h.Quantile(0.999)))
 	}
 
-	if *jsonPath != "" {
+	if out != nil {
 		rep := perf.NewReport(fmt.Sprintf(
 			"reproload -scenario %s -conns %d -ops %d -pipeline %d -rate %g -logn %d -seed %d",
 			sc.Name(), *conns, *ops, *pipeline, *rate, *logn, *seed))
 		rep.Add(loadgen.PerfRecords(cfg, sum, *logn)...)
-		tmp := *jsonPath + ".tmp"
-		if err := rep.WriteFile(tmp); err != nil {
-			fmt.Fprintln(os.Stderr, "reproload: -json:", err)
-			os.Exit(1)
-		}
-		if err := os.Rename(tmp, *jsonPath); err != nil {
+		if err := out.Commit(rep.Write); err != nil {
 			fmt.Fprintln(os.Stderr, "reproload: -json:", err)
 			os.Exit(1)
 		}

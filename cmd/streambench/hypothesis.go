@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -13,54 +14,32 @@ import (
 // runHypothesis measures one experiment bundle and exits with the
 // verdict: 0 confirmed (or advisory — a wall-clock bundle measured
 // below its CPU floor reports rather than gates), 1 falsified, 2 usage
-// error. When jsonPath is
-// set the verdict document is written on BOTH outcomes (a falsification
-// is a result, not a failure to produce one) via a sibling temp file
-// renamed over the target, so a usage or build error never truncates an
-// existing verdict.
+// error. When jsonPath is set the verdict document is written on BOTH
+// outcomes (a falsification is a result, not a failure to produce
+// one); a usage or build error never truncates an existing verdict.
 func runHypothesis(name string, cfg harness.Config, jsonPath string) {
 	if _, ok := hypothesis.Get(name); !ok {
 		fmt.Fprintf(os.Stderr, "unknown hypothesis bundle %q; registered: %s\n",
 			name, strings.Join(hypothesis.Names(), ", "))
 		os.Exit(2)
 	}
-	var jsonTmp *os.File
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath + ".tmp")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "-json: %v\n", err)
-			os.Exit(2)
-		}
-		jsonTmp = f
-	}
+	out := createReport(jsonPath)
 
 	v, err := hypothesis.Run(name, cfg)
 	if err != nil {
-		if jsonTmp != nil {
-			jsonTmp.Close()
-			os.Remove(jsonTmp.Name())
-		}
+		out.Abort()
 		fmt.Fprintf(os.Stderr, "-hypothesis: %v\n", err)
 		os.Exit(1)
 	}
 
 	printVerdict(os.Stdout, v)
 
-	if jsonTmp != nil {
-		enc := json.NewEncoder(jsonTmp)
-		enc.SetIndent("", "  ")
-		err := enc.Encode(v)
-		if cerr := jsonTmp.Close(); err == nil {
-			err = cerr
-		}
-		if err == nil {
-			err = os.Rename(jsonTmp.Name(), jsonPath)
-		}
-		if err != nil {
-			os.Remove(jsonTmp.Name())
-			fmt.Fprintf(os.Stderr, "-json: %v\n", err)
-			os.Exit(1)
-		}
+	if out != nil {
+		commitReport(out, func(w io.Writer) error {
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", "  ")
+			return enc.Encode(v)
+		})
 		fmt.Fprintf(os.Stderr, "wrote verdict to %s\n", jsonPath)
 	}
 	if !v.Confirmed && !v.Advisory {
@@ -79,9 +58,7 @@ func printVerdict(w *os.File, v hypothesis.Verdict) {
 			r.Label+":", v.Metric, r.Num.Value, r.Den.Value, r.Observed)
 	}
 	fmt.Fprintf(w, "  prediction: experiment >= %.3f and control <= %.3f (tolerance %.0f%%)\n",
-		v.Prediction.MinRatio*(1-v.Prediction.Tolerance),
-		v.Prediction.ControlMax*(1+v.Prediction.Tolerance),
-		v.Prediction.Tolerance*100)
+		v.Prediction.Floor(), v.Prediction.Ceiling(), v.Prediction.Tolerance*100)
 	verdict := "CONFIRMED"
 	if !v.Confirmed {
 		verdict = "FALSIFIED"

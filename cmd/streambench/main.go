@@ -47,6 +47,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -222,20 +223,8 @@ func main() {
 		}
 	}
 
-	// Open the perf output only now — after every flag has validated —
-	// and as a sibling temp file that is renamed over the target once
-	// the report is written: an unwritable path still fails before the
-	// sweep, and a failed or interrupted run can never truncate an
-	// existing report (the committed baseline in particular).
-	var jsonTmp *os.File
-	if *jsonPath != "" {
-		f, err := os.Create(*jsonPath + ".tmp")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "-json: %v\n", err)
-			os.Exit(2)
-		}
-		jsonTmp = f
-	}
+	// Open the perf output only now, after every flag has validated.
+	out := createReport(*jsonPath)
 
 	var results []harness.Result
 	if figName == "all" {
@@ -243,10 +232,7 @@ func main() {
 	} else {
 		var err error
 		if results, err = figure.Results(cfg, lineup); err != nil {
-			if jsonTmp != nil {
-				jsonTmp.Close()
-				os.Remove(jsonTmp.Name())
-			}
+			out.Abort()
 			fmt.Fprintf(os.Stderr, "-fig %s: %v\n", figName, err)
 			// Specs and lineup validated above, so a scenarios failure is
 			// a structural mismatch (e.g. a delete-bearing mix over a
@@ -266,24 +252,36 @@ func main() {
 		}
 	}
 
-	if jsonTmp != nil {
+	if out != nil {
 		rep := perf.NewReport(fmt.Sprintf(
 			"streambench -fig %s -logn %d -logn-start %d -block %d -cache %d -seed %d -searches %d -dict %q",
 			figName, *logn, *lognStart, *blockBytes, *cacheBytes, *seed, *searches, *dict))
 		rep.Add(harness.PerfRecords(results)...)
-		err := rep.Write(jsonTmp)
-		if cerr := jsonTmp.Close(); err == nil {
-			err = cerr
-		}
-		if err == nil {
-			err = os.Rename(jsonTmp.Name(), *jsonPath)
-		}
-		if err != nil {
-			os.Remove(jsonTmp.Name())
-			fmt.Fprintf(os.Stderr, "-json: %v\n", err)
-			os.Exit(1)
-		}
+		commitReport(out, rep.Write)
 		fmt.Fprintf(os.Stderr, "wrote %d perf records to %s\n", len(rep.Results), *jsonPath)
+	}
+}
+
+// createReport opens the -json target (nil when path is empty) before
+// the run it records: an unwritable path is a usage error caught before
+// any work, and a failed run leaves an existing report untouched.
+func createReport(path string) *perf.File {
+	if path == "" {
+		return nil
+	}
+	f, err := perf.CreateFile(path)
+	if err != nil {
+		fail("-json: %v", err)
+	}
+	return f
+}
+
+// commitReport writes and publishes the -json report, exiting 1 when
+// that fails.
+func commitReport(f *perf.File, write func(io.Writer) error) {
+	if err := f.Commit(write); err != nil {
+		fmt.Fprintf(os.Stderr, "-json: %v\n", err)
+		os.Exit(1)
 	}
 }
 

@@ -47,51 +47,52 @@ func guarded(shards int, exclusive bool) core.Dictionary {
 	return shard.New(shard.WithShards(shards), shard.WithDictionary(inner))
 }
 
+// drive runs workers goroutines, worker w calling work(w), and returns
+// the operations they report per second of wall clock: the one loop
+// E10 and E12 time their concurrent workers with.
+func drive(workers int, work func(w int) (ops int)) float64 {
+	var wg sync.WaitGroup
+	ops := make([]int, workers)
+	start := time.Now()
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ops[w] = work(w)
+		}()
+	}
+	wg.Wait()
+	el := max(time.Since(start).Seconds(), 1e-9)
+	total := 0
+	for _, n := range ops {
+		total += n
+	}
+	return float64(total) / el
+}
+
 // driveInserts runs workers goroutines, each inserting per-worker
 // distinct keys, and returns aggregate inserts/second.
 func driveInserts(d core.Dictionary, workers, perWorker int, seed uint64) float64 {
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			seq := workload.NewRandomUnique(seed + uint64(w))
-			for i := 0; i < perWorker; i++ {
-				k := seq.Next()
-				d.Insert(k, k)
-			}
-		}(w)
-	}
-	wg.Wait()
-	el := time.Since(start).Seconds()
-	if el <= 0 {
-		el = 1e-9
-	}
-	return float64(workers*perWorker) / el
+	return drive(workers, func(w int) int {
+		seq := workload.NewRandomUnique(seed + uint64(w))
+		for range perWorker {
+			k := seq.Next()
+			d.Insert(k, k)
+		}
+		return perWorker
+	})
 }
 
 // driveSearches runs workers goroutines probing the preloaded keyspace
 // and returns aggregate searches/second.
 func driveSearches(d core.Dictionary, workers, perWorker int, seed uint64) float64 {
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			probe := workload.NewRandomUnique(seed + uint64(w))
-			for i := 0; i < perWorker; i++ {
-				d.Search(probe.Next())
-			}
-		}(w)
-	}
-	wg.Wait()
-	el := time.Since(start).Seconds()
-	if el <= 0 {
-		el = 1e-9
-	}
-	return float64(workers*perWorker) / el
+	return drive(workers, func(w int) int {
+		probe := workload.NewRandomUnique(seed + uint64(w))
+		for range perWorker {
+			d.Search(probe.Next())
+		}
+		return perWorker
+	})
 }
 
 // Concurrent is experiment E10: aggregate insert and search throughput

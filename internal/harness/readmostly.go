@@ -17,9 +17,6 @@
 package harness
 
 import (
-	"sync"
-	"time"
-
 	"repro/internal/core"
 	"repro/internal/workload"
 )
@@ -29,37 +26,21 @@ import (
 // (searches probe the preloaded keyspace, inserts add fresh per-worker
 // keys), and returns aggregate searches/second.
 func driveReadMostly(d core.Dictionary, workers, perWorker int, preload []uint64, seed uint64) float64 {
-	var wg sync.WaitGroup
-	searches := 0
-	var searchesMu sync.Mutex
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := workload.NewRNG(seed + uint64(w)*977)
-			fresh := workload.NewRandomUnique(seed ^ 0xE12 ^ uint64(w)<<32)
-			mine := 0
-			for i := 0; i < perWorker; i++ {
-				if rng.Uint64()%20 == 0 { // 5%: insert a fresh key
-					k := fresh.Next()
-					d.Insert(k, k)
-				} else { // 95%: search a preloaded key
-					d.Search(preload[int(rng.Uint64()%uint64(len(preload)))])
-					mine++
-				}
+	return drive(workers, func(w int) int {
+		rng := workload.NewRNG(seed + uint64(w)*977)
+		fresh := workload.NewRandomUnique(seed ^ 0xE12 ^ uint64(w)<<32)
+		searches := 0
+		for range perWorker {
+			if rng.Uint64()%20 == 0 { // 5%: insert a fresh key
+				k := fresh.Next()
+				d.Insert(k, k)
+			} else { // 95%: search a preloaded key
+				d.Search(preload[int(rng.Uint64()%uint64(len(preload)))])
+				searches++
 			}
-			searchesMu.Lock()
-			searches += mine
-			searchesMu.Unlock()
-		}(w)
-	}
-	wg.Wait()
-	el := time.Since(start).Seconds()
-	if el <= 0 {
-		el = 1e-9
-	}
-	return float64(searches) / el
+		}
+		return searches
+	})
 }
 
 // ReadMostly is experiment E12: aggregate search throughput of the

@@ -5,26 +5,22 @@ import (
 	"net"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/dam"
 	"repro/internal/loadgen"
-	"repro/internal/registry"
 	"repro/internal/server"
-	"repro/internal/shard"
 	"repro/internal/workload"
 )
 
-// serveLineup pairs a shared-read-safe inner (searches bracket under
-// the shard's RLock and run concurrently) against an exclusive inner
-// (no shared-read support, so the same shard lock serializes every
-// search). One shard, so the lock — not shard spreading — is the only
-// mechanism in play.
+// serveLineup pairs one 2-COLA with its shared-read support (searches
+// bracket under the shard's RLock and run concurrently) against the
+// same 2-COLA with that support hidden (the same shard lock serializes
+// every search). One structure and one shard, so the lock — not the
+// structure or shard spreading — is the only mechanism in play.
 var serveLineup = []struct {
-	kind  string
-	label string
+	exclusive bool
+	label     string
 }{
-	{"gcola", "shared (gcola)"},
-	{"deamortized", "exclusive (deamortized)"},
+	{false, "shared (2-COLA)"},
+	{true, "exclusive (2-COLA)"},
 }
 
 // serveConns is the connection sweep for E14.
@@ -38,20 +34,18 @@ var serveConns = []int{1, 2, 4}
 // ratio near one. Wall-clock (and scheduler-bound), so CI reports it
 // rather than gating on it.
 func (c Config) Serve() (Result, error) {
-	c = c.withDefaults()
 	res := Result{
 		Title:  "E14 — served GET throughput vs connections (1 shard)",
 		XLabel: "connections",
 		YLabel: "operations/second",
 	}
-	perConn := c.Searches
 	var first, last [2]float64
 	for li, entry := range serveLineup {
 		s := Series{Name: entry.label}
 		for _, conns := range serveConns {
-			ops, err := c.serveThroughput(entry.kind, conns, perConn)
+			ops, err := c.ServeThroughput(entry.exclusive, conns)
 			if err != nil {
-				return res, fmt.Errorf("serve %s @%d conns: %w", entry.kind, conns, err)
+				return res, fmt.Errorf("serve %s @%d conns: %w", entry.label, conns, err)
 			}
 			s.X = append(s.X, float64(conns))
 			s.Y = append(s.Y, ops)
@@ -67,18 +61,15 @@ func (c Config) Serve() (Result, error) {
 	return res, nil
 }
 
-// serveThroughput measures closed-loop GET ops/s against an in-process
-// loopback server over a single-shard map with the given inner kind.
-func (c Config) serveThroughput(kind string, conns, perConn int) (float64, error) {
-	inner, err := registry.Build(kind)
-	if err != nil {
-		return 0, err
-	}
-	m := shard.New(
-		shard.WithShards(1),
-		shard.WithDictionary(func(int, *dam.Space) core.Dictionary { return inner }),
-	)
-	srv := server.New(m)
+// ServeThroughput measures closed-loop GET ops/s of conns connections,
+// Searches GETs each, against an in-process loopback server over one
+// shard of a 2-COLA preloaded with 2^LogN keys. exclusive hides the
+// COLA's shared-read support, so the shard's lock serializes every
+// search. E14 and the server-shared-read-scaling hypothesis bundle both
+// measure through it.
+func (c Config) ServeThroughput(exclusive bool, conns int) (float64, error) {
+	c = c.withDefaults()
+	srv := server.New(guarded(1, exclusive))
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return 0, err
@@ -98,7 +89,7 @@ func (c Config) serveThroughput(kind string, conns, perConn int) (float64, error
 		Addr:     ln.Addr().String(),
 		Scenario: sc,
 		Conns:    conns,
-		Ops:      conns * perConn,
+		Ops:      conns * c.Searches,
 		Preload:  1 << uint(c.LogN),
 	})
 	if err != nil {

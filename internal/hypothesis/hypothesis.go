@@ -1,16 +1,24 @@
-// Package hypothesis turns the scenario generator into a falsification
-// apparatus: each Bundle packages a quantitative claim from the paper —
-// a predicted transfer-count ratio between two measured arms — together
-// with the mechanism said to produce it and a control arm where the
-// mechanism is removed and the effect must vanish. A bundle CONFIRMS
-// only when both halves hold: the experiment ratio clears its predicted
-// floor AND the control ratio stays under its ceiling. Anything else is
-// a falsification, reported with the specific predicate that failed.
+// Package hypothesis turns the repository's measurements into a
+// falsification apparatus: each Bundle packages a quantitative claim
+// from the paper — a predicted ratio between two measured arms —
+// together with the mechanism said to produce it and a control arm
+// where the mechanism is removed and the effect must vanish. A bundle
+// CONFIRMS only when both halves hold: the experiment ratio clears its
+// predicted floor AND the control ratio stays under its ceiling.
+// Anything else is a falsification, reported with the specific
+// predicate that failed.
 //
-// Measurements are DAM block transfers per operation, which are
-// deterministic for a fixed (scenario, seed, geometry) — so a bundle's
-// verdict is bit-for-bit reproducible and can gate CI without flake
-// margins for host noise.
+// An arm is an opaque measurement that returns one number, and Run
+// measures every arm and builds every ratio the same way. Most arms
+// name a structure and a scenario spec and are measured as DAM block
+// transfers per operation through harness.Config.MeasureScenario;
+// those are deterministic for a fixed (scenario, seed, geometry), so
+// such a bundle's verdict is bit-for-bit reproducible and can gate CI
+// without flake margins for host noise. An arm whose quantity is not a
+// scenario's transfers/op — real chunk reads of a spilled structure,
+// served throughput over a socket — sets Arm.Measure to its own typed
+// runner (a closure over the harness call and its arguments) and uses
+// Arm.Scenario only as a label.
 package hypothesis
 
 import (
@@ -36,15 +44,20 @@ const (
 // VerdictSchema versions the verdict JSON; readers reject other values.
 const VerdictSchema = 1
 
-// Arm is one measured configuration: a structure (harness display name
-// or registry kind), optional extra registry options layered on top,
-// and the scenario it is driven through. Label, when set, names the
-// variant in output (e.g. "2-COLA (pointer density 0)").
+// Arm is one measured configuration. By default it is a structure
+// (harness display name or registry kind), optional extra registry
+// options layered on top, and the scenario spec it is driven through,
+// measured as transfers/op. Measure, when set, is the arm's own runner
+// instead: it receives the bundle's pinned config and returns the arm's
+// value, and Structure and Scenario only describe it in output. Label,
+// when set, names the variant in output (e.g. "2-COLA (pointer density
+// 0)").
 type Arm struct {
 	Structure string
 	Options   []registry.Option
 	Scenario  string
 	Label     string
+	Measure   func(harness.Config) (float64, error)
 }
 
 func (a Arm) label() string {
@@ -54,14 +67,38 @@ func (a Arm) label() string {
 	return a.Structure
 }
 
-// Ratio is a predicted quotient of two arms' metric values.
+// measure runs the arm under cfg: through its own runner when it has
+// one, else its scenario through the harness.
+func (a Arm) measure(cfg harness.Config) (ArmResult, error) {
+	res := ArmResult{Structure: a.label(), Scenario: a.Scenario}
+	var err error
+	if a.Measure != nil {
+		res.Value, err = a.Measure(cfg)
+	} else {
+		var m harness.ScenarioMeasurement
+		m, err = cfg.MeasureScenario(a.Structure, a.Options, a.Scenario)
+		res.Value = m.TransfersPerOp
+	}
+	if err != nil {
+		return res, fmt.Errorf("arm %s: %w", a.label(), err)
+	}
+	return res, nil
+}
+
+// Ratio is a predicted quotient of two arms' values, Num / Den. With
+// Agreement set it observes how closely the arms agree instead —
+// min(q, 1/q) for the quotient q, 1 for equal values — and both arms
+// must then measure positive.
 type Ratio struct {
-	Label string
-	Num   Arm
-	Den   Arm
+	Label     string
+	Num       Arm
+	Den       Arm
+	Agreement bool
 }
 
 // Bundle is one experiment: claim, mechanism, prediction, control.
+// Run measures the four arms of its two ratios at the bundle's pinned
+// geometry; Metric names what the arms measure.
 type Bundle struct {
 	Name      string
 	Title     string
@@ -92,11 +129,6 @@ type Bundle struct {
 	LogN       int
 	CacheBytes int64
 
-	// Measure, when set, replaces the default transfers/op arm runner —
-	// bundles whose metric is not a harness scenario measurement (e.g.
-	// served throughput over a real socket) supply their own.
-	Measure func(cfg harness.Config, r Ratio) (RatioResult, error)
-
 	// MinCPU, when positive, marks the verdict advisory on hosts with
 	// fewer CPUs: a wall-clock concurrency claim cannot fail honestly
 	// on a machine that cannot run the arms concurrently. Advisory
@@ -126,6 +158,14 @@ type Prediction struct {
 	ControlMax float64 `json:"control_max"`
 	Tolerance  float64 `json:"tolerance"`
 }
+
+// Floor is the effective experiment floor, MinRatio loosened by the
+// tolerance.
+func (p Prediction) Floor() float64 { return p.MinRatio * (1 - p.Tolerance) }
+
+// Ceiling is the effective control ceiling, ControlMax loosened by the
+// tolerance.
+func (p Prediction) Ceiling() float64 { return p.ControlMax * (1 + p.Tolerance) }
 
 // Verdict is the JSON document streambench -hypothesis emits and
 // perfgate -hypotheses consumes.
@@ -181,25 +221,29 @@ func Get(name string) (Bundle, bool) {
 	return b, ok
 }
 
-// measureRatio runs both arms of r under cfg and returns the quotient.
+// measureRatio runs both arms of r under cfg and returns their ratio.
+// A broken arm is an error, not a verdict: so is a denominator that
+// measured nothing, or an agreement arm that did.
 func measureRatio(cfg harness.Config, r Ratio) (RatioResult, error) {
-	num, err := cfg.MeasureScenario(r.Num.Structure, r.Num.Options, r.Num.Scenario)
-	if err != nil {
-		return RatioResult{}, fmt.Errorf("arm %s: %w", r.Num.label(), err)
+	out := RatioResult{Label: r.Label}
+	var err error
+	if out.Num, err = r.Num.measure(cfg); err != nil {
+		return out, err
 	}
-	den, err := cfg.MeasureScenario(r.Den.Structure, r.Den.Options, r.Den.Scenario)
-	if err != nil {
-		return RatioResult{}, fmt.Errorf("arm %s: %w", r.Den.label(), err)
+	if out.Den, err = r.Den.measure(cfg); err != nil {
+		return out, err
 	}
-	out := RatioResult{
-		Label: r.Label,
-		Num:   ArmResult{Structure: r.Num.label(), Scenario: num.Scenario, Value: num.TransfersPerOp},
-		Den:   ArmResult{Structure: r.Den.label(), Scenario: den.Scenario, Value: den.TransfersPerOp},
+	num, den := out.Num.Value, out.Den.Value
+	if den <= 0 {
+		return out, fmt.Errorf("ratio %q: denominator arm %s measured %g", r.Label, out.Den.Structure, den)
 	}
-	if den.TransfersPerOp <= 0 {
-		return out, fmt.Errorf("ratio %q: denominator arm %s measured %g transfers/op", r.Label, r.Den.label(), den.TransfersPerOp)
+	out.Observed = num / den
+	if r.Agreement {
+		if num <= 0 {
+			return out, fmt.Errorf("ratio %q: numerator arm %s measured %g, nothing to agree with", r.Label, out.Num.Structure, num)
+		}
+		out.Observed = min(out.Observed, 1/out.Observed)
 	}
-	out.Observed = num.TransfersPerOp / den.TransfersPerOp
 	return out, nil
 }
 
@@ -215,15 +259,11 @@ func Run(name string, cfg harness.Config) (Verdict, error) {
 	}
 	cfg.LogN = b.LogN
 	cfg.CacheBytes = b.CacheBytes
-	measure := b.Measure
-	if measure == nil {
-		measure = measureRatio
-	}
-	exp, err := measure(cfg, b.Experiment)
+	exp, err := measureRatio(cfg, b.Experiment)
 	if err != nil {
 		return Verdict{}, fmt.Errorf("bundle %s: experiment %w", name, err)
 	}
-	ctl, err := measure(cfg, b.Control)
+	ctl, err := measureRatio(cfg, b.Control)
 	if err != nil {
 		return Verdict{}, fmt.Errorf("bundle %s: control %w", name, err)
 	}
@@ -237,7 +277,7 @@ func Run(name string, cfg harness.Config) (Verdict, error) {
 		LogN:       b.LogN,
 		CacheBytes: b.CacheBytes,
 		Seed:       cfg.Seed,
-		Prediction: Prediction{MinRatio: b.MinRatio, ControlMax: b.ControlMax, Tolerance: b.Tolerance},
+		Prediction: b.prediction(),
 		Experiment: exp,
 		Control:    ctl,
 	}
@@ -251,18 +291,22 @@ func Run(name string, cfg harness.Config) (Verdict, error) {
 	return v, nil
 }
 
+// prediction is the bundle's thresholds as its verdict echoes them.
+func (b Bundle) prediction() Prediction {
+	return Prediction{MinRatio: b.MinRatio, ControlMax: b.ControlMax, Tolerance: b.Tolerance}
+}
+
 // judge applies the bundle's two predicates and reports every failed
 // one (not just the first), so a doubly-wrong bundle reads as such.
 func judge(b Bundle, exp, ctl float64) (bool, []string) {
 	var reasons []string
-	floor := b.MinRatio * (1 - b.Tolerance)
-	if exp < floor {
+	p := b.prediction()
+	if floor := p.Floor(); exp < floor {
 		reasons = append(reasons, fmt.Sprintf(
 			"experiment ratio %.3f below predicted floor %.3f (min %.3f, tolerance %.0f%%): the claimed advantage did not appear",
 			exp, floor, b.MinRatio, b.Tolerance*100))
 	}
-	ceiling := b.ControlMax * (1 + b.Tolerance)
-	if ctl > ceiling {
+	if ceiling := p.Ceiling(); ctl > ceiling {
 		reasons = append(reasons, fmt.Sprintf(
 			"control ratio %.3f above ceiling %.3f (max %.3f, tolerance %.0f%%): the effect survived removal of its mechanism",
 			ctl, ceiling, b.ControlMax, b.Tolerance*100))
@@ -309,8 +353,8 @@ func WriteMarkdown(w io.Writer, verdicts []Verdict) error {
 			verdict = "✅ confirmed (advisory)"
 		}
 		if _, err := fmt.Fprintf(w, "|%s|%s|%.3f|%.3f|%.3f|%.3f|\n",
-			v.Name, verdict, v.Experiment.Observed, v.Prediction.MinRatio*(1-v.Prediction.Tolerance),
-			v.Control.Observed, v.Prediction.ControlMax*(1+v.Prediction.Tolerance)); err != nil {
+			v.Name, verdict, v.Experiment.Observed, v.Prediction.Floor(),
+			v.Control.Observed, v.Prediction.Ceiling()); err != nil {
 			return err
 		}
 	}

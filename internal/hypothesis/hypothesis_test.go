@@ -26,11 +26,7 @@ func TestBundlesWellFormed(t *testing.T) {
 		if b.Claim == "" || b.Mechanism == "" || b.Title == "" {
 			t.Errorf("%s: claim/mechanism/title must all be stated", name)
 		}
-		if b.Measure == nil {
-			if b.Metric != MetricTransfersPerOp {
-				t.Errorf("%s: metric %q is not gateable by the default runner", name, b.Metric)
-			}
-		} else if b.Metric == MetricOpsPerSec && b.MinCPU <= 0 {
+		if b.Metric == MetricOpsPerSec && b.MinCPU <= 0 {
 			// Wall-clock bundles must declare the CPU floor that makes
 			// their verdict advisory on starved hosts.
 			t.Errorf("%s: ops/s bundle without a MinCPU floor", name)
@@ -41,13 +37,17 @@ func TestBundlesWellFormed(t *testing.T) {
 		if b.LogN <= 0 || b.CacheBytes <= 0 {
 			t.Errorf("%s: geometry not pinned (logn=%d cache=%d)", name, b.LogN, b.CacheBytes)
 		}
-		if b.Measure == nil {
-			// Custom-Measure bundles own their arm encoding; only the
-			// default runner requires parseable workload specs.
-			for _, arm := range []Arm{b.Experiment.Num, b.Experiment.Den, b.Control.Num, b.Control.Den} {
-				if _, err := workload.Parse(arm.Scenario); err != nil {
-					t.Errorf("%s: arm %s scenario %q: %v", name, arm.label(), arm.Scenario, err)
-				}
+		// A scenario arm is measured in transfers/op and its spec must
+		// parse; an arm with its own runner needs no scenario.
+		for _, arm := range []Arm{b.Experiment.Num, b.Experiment.Den, b.Control.Num, b.Control.Den} {
+			if arm.Measure != nil {
+				continue
+			}
+			if b.Metric != MetricTransfersPerOp {
+				t.Errorf("%s: arm %s is measured in transfers/op, bundle metric is %q", name, arm.label(), b.Metric)
+			}
+			if _, err := workload.Parse(arm.Scenario); err != nil {
+				t.Errorf("%s: arm %s scenario %q: %v", name, arm.label(), arm.Scenario, err)
 			}
 		}
 	}
@@ -90,6 +90,39 @@ func TestJudge(t *testing.T) {
 	// A doubly-wrong bundle reports both failures.
 	if _, reasons := judge(b, 1.0, 2.0); len(reasons) != 2 {
 		t.Errorf("doubly-failed judge gave %d reasons, want 2: %v", len(reasons), reasons)
+	}
+}
+
+// An arm with its own runner goes through the same ratio assembly as a
+// scenario arm: agreement folds the quotient, and an arm that measured
+// nothing is an error, not a verdict.
+func TestMeasureRatioOwnRunners(t *testing.T) {
+	arm := func(v float64) Arm {
+		return Arm{Label: "x", Measure: func(harness.Config) (float64, error) { return v, nil }}
+	}
+	cases := []struct {
+		num, den  float64
+		agreement bool
+		want      float64 // < 0: an error
+	}{
+		{num: 3, den: 2, want: 1.5},
+		{num: 3, den: 2, agreement: true, want: 2.0 / 3},
+		{num: 1, den: 4, agreement: true, want: 0.25},
+		{num: 1, den: 0, want: -1},
+		{num: 0, den: 2, want: 0},
+		{num: 0, den: 2, agreement: true, want: -1},
+	}
+	for _, c := range cases {
+		r, err := measureRatio(harness.Config{}, Ratio{Num: arm(c.num), Den: arm(c.den), Agreement: c.agreement})
+		if c.want < 0 {
+			if err == nil {
+				t.Errorf("%g/%g agreement=%v: no error", c.num, c.den, c.agreement)
+			}
+			continue
+		}
+		if err != nil || r.Observed != c.want {
+			t.Errorf("%g/%g agreement=%v = %g, %v; want %g", c.num, c.den, c.agreement, r.Observed, err, c.want)
+		}
 	}
 }
 

@@ -2,8 +2,6 @@ package hypothesis
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"repro/internal/harness"
 )
@@ -34,14 +32,13 @@ func init() {
 			"level; only the RAM-resident top levels and residual cache hits separate " +
 			"the two counts.",
 		Metric:     MetricTransfersPerOp,
-		Experiment: fidelityRatio("charged vs actual reads/search, starved page cache", fidelityAgreement, fidelityStarvedCache),
+		Experiment: fidelityRatio("charged vs actual reads/search, starved page cache", true, fidelityStarvedCache),
 		MinRatio:   0.5,
-		Control:    fidelityRatio("actual/charged reads/search, page cache holds everything", fidelityQuotient, fidelityFullCache),
+		Control:    fidelityRatio("actual/charged reads/search, page cache holds everything", false, fidelityFullCache),
 		ControlMax: 0.1,
 		Tolerance:  0.2,
 		LogN:       14,
 		CacheBytes: 64 << 10,
-		Measure:    measureFidelity,
 	})
 }
 
@@ -53,64 +50,38 @@ const (
 	fidelityFullCache    = 64 << 20
 )
 
-// The two observation modes measureFidelity decodes from Arm.Scenario.
-const (
-	fidelityAgreement = "agreement"
-	fidelityQuotient  = "actual/charged"
-)
+// fidelitySearches is the length of each arm's search phase.
+const fidelitySearches = 1 << 13
 
-// fidelityRatio builds one ratio over a single spilled-gcola run: both
-// arms come from the same search phase (numerator the actual chunk
-// reads, denominator the DAM charges), and the scenario string encodes
-// the observation mode plus the page-cache budget for measureFidelity
-// to decode.
-func fidelityRatio(label, mode string, spillCache int64) Ratio {
+// fidelityRatio builds one ratio over the spilled gcola's search phase
+// behind a page cache of spillCache bytes: the numerator arm counts the
+// chunk reads actually performed, the denominator the DAM-charged ones.
+// Each arm reruns the deterministic phase and keeps its own count; the
+// scenario string only labels the mode and budget in the verdict.
+func fidelityRatio(label string, agreement bool, spillCache int64) Ratio {
+	mode := "actual/charged"
+	if agreement {
+		mode = "agreement"
+	}
 	scen := fmt.Sprintf("%s spill-cache=%d", mode, spillCache)
+	arm := func(label string, actual bool) Arm {
+		return Arm{
+			Structure: "gcola (spilled)",
+			Scenario:  scen,
+			Label:     label,
+			Measure: func(cfg harness.Config) (float64, error) {
+				charged, got, err := cfg.OutOfCoreSearchTransfers(spillCache, fidelitySearches)
+				if actual {
+					return got, err
+				}
+				return charged, err
+			},
+		}
+	}
 	return Ratio{
-		Label: label,
-		Num:   Arm{Structure: "gcola (spilled)", Scenario: scen, Label: "actual chunk reads/search"},
-		Den:   Arm{Structure: "gcola (spilled)", Scenario: scen, Label: "DAM-charged reads/search"},
+		Label:     label,
+		Num:       arm("actual chunk reads/search", true),
+		Den:       arm("DAM-charged reads/search", false),
+		Agreement: agreement,
 	}
-}
-
-// measureFidelity is the custom arm runner: one out-of-core search run
-// per ratio, charged and actual reads measured side by side.
-func measureFidelity(cfg harness.Config, r Ratio) (RatioResult, error) {
-	mode, cacheField, ok := strings.Cut(r.Num.Scenario, " spill-cache=")
-	if !ok {
-		return RatioResult{}, fmt.Errorf("arm scenario %q: want \"<mode> spill-cache=<bytes>\"", r.Num.Scenario)
-	}
-	spillCache, err := strconv.ParseInt(cacheField, 10, 64)
-	if err != nil || spillCache <= 0 {
-		return RatioResult{}, fmt.Errorf("arm scenario %q: bad spill-cache budget", r.Num.Scenario)
-	}
-	const searches = 1 << 13
-	charged, actual, err := cfg.OutOfCoreSearchTransfers(spillCache, searches)
-	if err != nil {
-		return RatioResult{}, err
-	}
-	out := RatioResult{
-		Label: r.Label,
-		Num:   ArmResult{Structure: r.Num.Label, Scenario: r.Num.Scenario, Value: actual},
-		Den:   ArmResult{Structure: r.Den.Label, Scenario: r.Den.Scenario, Value: charged},
-	}
-	if charged <= 0 {
-		return out, fmt.Errorf("ratio %q: charged %g transfers/search", r.Label, charged)
-	}
-	switch mode {
-	case fidelityQuotient:
-		out.Observed = actual / charged
-	case fidelityAgreement:
-		if actual <= 0 {
-			return out, fmt.Errorf("ratio %q: a starved cache performed no reads at all", r.Label)
-		}
-		q := actual / charged
-		if q > 1 {
-			q = 1 / q
-		}
-		out.Observed = q
-	default:
-		return out, fmt.Errorf("arm scenario %q: unknown mode %q", r.Num.Scenario, mode)
-	}
-	return out, nil
 }

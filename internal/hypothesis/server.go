@@ -2,28 +2,17 @@ package hypothesis
 
 import (
 	"fmt"
-	"net"
-	"strconv"
-	"strings"
-	"time"
 
-	"repro/internal/core"
-	"repro/internal/dam"
 	"repro/internal/harness"
-	"repro/internal/loadgen"
-	"repro/internal/registry"
-	"repro/internal/server"
-	"repro/internal/shard"
-	"repro/internal/workload"
 )
 
 // The served edition of the shared-reader claim (PR 5 / E11): a
 // shared-read-safe inner lets a single shard's RLock admit concurrent
-// GETs, so served read throughput grows with connections; swap the
-// inner for one without shared-read support and the same lock
-// serializes every search, collapsing the ratio. Both arms run over a
-// real loopback socket through the load generator, so the measurement
-// includes the whole serving stack.
+// GETs, so served read throughput grows with connections; hide the
+// same inner's shared-read support and the same lock serializes every
+// search, collapsing the ratio. Both arms run E14's measurement over a
+// real loopback socket through the load generator, so it includes the
+// whole serving stack.
 //
 // Ops/s is wall-clock: on a host with fewer than MinCPU CPUs the arms
 // cannot actually run concurrently, so the verdict is advisory there
@@ -34,113 +23,41 @@ func init() {
 		Title: "Served GETs scale with connections only under shared reads",
 		Claim: "GET throughput over the wire at 4 connections exceeds 1 connection by >= 1.5x when the " +
 			"single shard's inner dictionary supports shared-read bracketing",
-		Mechanism: "shard.Map.Search takes RLock and brackets Begin/EndSharedReads when the inner probes " +
-			"shared-read safe, so concurrent connections' searches overlap; an exclusive inner downgrades " +
-			"the same path to a full Lock and serializes them",
+		Mechanism: "the shard's syncdict guard takes its RLock for Search and brackets Begin/EndSharedReads " +
+			"when the inner probes shared-read safe, so concurrent connections' searches overlap; the same " +
+			"2-COLA with its shared-read support hidden downgrades the path to a full Lock and serializes them",
 		Metric:     MetricOpsPerSec,
-		Experiment: serveRatio("gcola", "shared inner: 4-conn / 1-conn GET throughput"),
+		Experiment: serveRatio(false, "shared inner: 4-conn / 1-conn GET throughput"),
 		MinRatio:   1.5,
-		Control:    serveRatio("deamortized", "exclusive inner: 4-conn / 1-conn GET throughput"),
+		Control:    serveRatio(true, "exclusive inner: 4-conn / 1-conn GET throughput"),
 		ControlMax: 1.4,
 		Tolerance:  0.25,
 		LogN:       14,
 		CacheBytes: 1 << 20,
-		Measure:    measureServeRatio,
 		MinCPU:     4,
 	})
 }
 
-// serveConnsHigh / serveConnsLow are the two operating points of both
-// ratios.
-const (
-	serveConnsHigh = 4
-	serveConnsLow  = 1
-)
+// servePerConn is the number of GETs each connection issues.
+const servePerConn = 1 << 13
 
-// serveRatio builds the two arms of one served-throughput ratio. The
-// arm scenario encodes the connection count as "<conns>x<spec>" for
-// measureServeRatio to decode (the default harness runner never sees
-// these arms).
-func serveRatio(kind, label string) Ratio {
-	return Ratio{
-		Label: label,
-		Num: Arm{
-			Structure: kind,
-			Scenario:  fmt.Sprintf("%dx uniform+steady+100r", serveConnsHigh),
-			Label:     fmt.Sprintf("sharded-1(%s) @%d conns", kind, serveConnsHigh),
-		},
-		Den: Arm{
-			Structure: kind,
-			Scenario:  fmt.Sprintf("%dx uniform+steady+100r", serveConnsLow),
-			Label:     fmt.Sprintf("sharded-1(%s) @%d conn", kind, serveConnsLow),
-		},
+// serveRatio builds the two arms of one served-throughput ratio: one
+// shard over a 2-COLA, shared or exclusive, at 4 and at 1 connection.
+func serveRatio(exclusive bool, label string) Ratio {
+	inner := "2-COLA"
+	if exclusive {
+		inner = "2-COLA, shared reads hidden"
 	}
-}
-
-// measureServeRatio is the custom arm runner: each arm serves a
-// single-shard map over its kind on a loopback listener and measures
-// closed-loop GET ops/s at the arm's connection count.
-func measureServeRatio(cfg harness.Config, r Ratio) (RatioResult, error) {
-	num, err := measureServeArm(cfg, r.Num)
-	if err != nil {
-		return RatioResult{}, fmt.Errorf("arm %s: %w", r.Num.Label, err)
+	arm := func(conns int) Arm {
+		return Arm{
+			Structure: "2-COLA",
+			Scenario:  "uniform+steady+100r",
+			Label:     fmt.Sprintf("sharded-1(%s) %d-conn", inner, conns),
+			Measure: func(cfg harness.Config) (float64, error) {
+				cfg.Searches = servePerConn
+				return cfg.ServeThroughput(exclusive, conns)
+			},
+		}
 	}
-	den, err := measureServeArm(cfg, r.Den)
-	if err != nil {
-		return RatioResult{}, fmt.Errorf("arm %s: %w", r.Den.Label, err)
-	}
-	out := RatioResult{Label: r.Label, Num: num, Den: den}
-	if den.Value <= 0 {
-		return out, fmt.Errorf("ratio %q: denominator arm %s measured %g ops/s", r.Label, r.Den.Label, den.Value)
-	}
-	out.Observed = num.Value / den.Value
-	return out, nil
-}
-
-// measureServeArm runs one arm. Arm.Scenario is "<conns>x <spec>".
-func measureServeArm(cfg harness.Config, a Arm) (ArmResult, error) {
-	connsStr, spec, ok := strings.Cut(a.Scenario, "x ")
-	if !ok {
-		return ArmResult{}, fmt.Errorf("arm scenario %q: want \"<conns>x <spec>\"", a.Scenario)
-	}
-	conns, err := strconv.Atoi(connsStr)
-	if err != nil || conns <= 0 {
-		return ArmResult{}, fmt.Errorf("arm scenario %q: bad connection count", a.Scenario)
-	}
-	sc, err := workload.Parse(spec)
-	if err != nil {
-		return ArmResult{}, err
-	}
-	sc.KeySpace = uint64(1) << uint(cfg.LogN)
-	sc.Seed = cfg.Seed
-
-	inner, err := registry.Build(a.Structure, a.Options...)
-	if err != nil {
-		return ArmResult{}, err
-	}
-	m := shard.New(
-		shard.WithShards(1),
-		shard.WithDictionary(func(int, *dam.Space) core.Dictionary { return inner }),
-	)
-	srv := server.New(m)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return ArmResult{}, err
-	}
-	done := make(chan struct{})
-	go func() { defer close(done); srv.Serve(ln) }()
-	defer func() { srv.Shutdown(5 * time.Second); <-done }()
-
-	const perConn = 1 << 13
-	sum, err := loadgen.Run(loadgen.Config{
-		Addr:     ln.Addr().String(),
-		Scenario: sc,
-		Conns:    conns,
-		Ops:      conns * perConn,
-		Preload:  1 << uint(cfg.LogN),
-	})
-	if err != nil {
-		return ArmResult{}, err
-	}
-	return ArmResult{Structure: a.Label, Scenario: a.Scenario, Value: sum.OpsPerSec()}, nil
+	return Ratio{Label: label, Num: arm(4), Den: arm(1)}
 }

@@ -140,17 +140,53 @@ func (rep *Report) Write(w io.Writer) error {
 	return enc.Encode(rep)
 }
 
-// WriteFile writes the report to path, creating or truncating it.
-func (rep *Report) WriteFile(path string) error {
-	f, err := os.Create(path)
+// File is a report file being written. Its bytes go to a sibling
+// "<path>.tmp" that is renamed over the target only once they are
+// complete, so an unwritable path fails before any work is done, and a
+// failed or abandoned run never truncates an existing report (a
+// committed baseline in particular).
+type File struct {
+	path string
+	tmp  *os.File
+}
+
+// CreateFile opens the temporary sibling of path. Call it before the
+// work whose result the file records, then exactly one of Commit and
+// Abort.
+func CreateFile(path string) (*File, error) {
+	tmp, err := os.Create(path + ".tmp")
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if err := rep.Write(f); err != nil {
-		f.Close()
-		return err
+	return &File{path: path, tmp: tmp}, nil
+}
+
+// Commit writes the file's contents through write and renames it over
+// the target. On any failure it removes the temporary file and leaves
+// the target untouched.
+func (f *File) Commit(write func(io.Writer) error) error {
+	err := write(f.tmp)
+	if cerr := f.tmp.Close(); err == nil {
+		err = cerr
 	}
-	return f.Close()
+	if err == nil {
+		err = os.Rename(f.tmp.Name(), f.path)
+	}
+	if err != nil {
+		os.Remove(f.tmp.Name())
+	}
+	return err
+}
+
+// Abort removes the temporary file, leaving the target untouched. It
+// is a no-op on a nil *File, so a caller with no output path can call
+// it unconditionally.
+func (f *File) Abort() {
+	if f == nil {
+		return
+	}
+	f.tmp.Close()
+	os.Remove(f.tmp.Name())
 }
 
 // Read parses a report and validates its schema and record identities.

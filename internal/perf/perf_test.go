@@ -2,6 +2,9 @@ package perf
 
 import (
 	"bytes"
+	"errors"
+	"io"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -38,8 +41,12 @@ func TestReportRoundTrip(t *testing.T) {
 func TestReportFileRoundTrip(t *testing.T) {
 	rep := sampleReport()
 	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := rep.WriteFile(path); err != nil {
-		t.Fatalf("WriteFile: %v", err)
+	f, err := CreateFile(path)
+	if err != nil {
+		t.Fatalf("CreateFile: %v", err)
+	}
+	if err := f.Commit(rep.Write); err != nil {
+		t.Fatalf("Commit: %v", err)
 	}
 	got, err := ReadFile(path)
 	if err != nil {
@@ -47,6 +54,46 @@ func TestReportFileRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(rep, got) {
 		t.Fatal("file round trip mismatch")
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Errorf("temporary file left behind after Commit: %v", err)
+	}
+}
+
+// An abandoned run and a failed write must each leave an existing
+// report byte for byte as it was, with no temporary file behind.
+func TestFileFailureKeepsTarget(t *testing.T) {
+	for name, finish := range map[string]func(*File) error{
+		"abort": func(f *File) error { f.Abort(); return nil },
+		"write failure": func(f *File) error {
+			return f.Commit(func(w io.Writer) error {
+				io.WriteString(w, "partial")
+				return errors.New("disk full")
+			})
+		},
+	} {
+		path := filepath.Join(t.TempDir(), "bench.json")
+		if err := os.WriteFile(path, []byte("baseline"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		f, err := CreateFile(path)
+		if err != nil {
+			t.Fatalf("%s: CreateFile: %v", name, err)
+		}
+		if err := finish(f); name == "write failure" && err == nil {
+			t.Errorf("%s: Commit reported success", name)
+		}
+		if got, err := os.ReadFile(path); err != nil || string(got) != "baseline" {
+			t.Errorf("%s: target now %q (%v), want it untouched", name, got, err)
+		}
+		if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+			t.Errorf("%s: temporary file left behind: %v", name, err)
+		}
+	}
+	var none *File
+	none.Abort() // nil-safe for callers with no output path
+	if _, err := CreateFile(filepath.Join(t.TempDir(), "missing", "bench.json")); err == nil {
+		t.Error("CreateFile succeeded in a missing directory")
 	}
 }
 
