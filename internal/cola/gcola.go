@@ -59,7 +59,8 @@ type entry struct {
 // level image: logical cell i (start <= i < cells) is file cell
 // i - start, so the right-justified geometry, the DAM offsets, and
 // every charge stay identical while only the occupied cells hit disk.
-// ext is nil while a spilled level is empty (no file). GCOLA.cellAt reads
+// ext is nil while a spilled level is empty (no file); idx is the
+// image's derived in-RAM index (see chunkIndex). GCOLA.cellAt reads
 // one cell from either home; the read path does not go through it for a
 // RAM level — Search has a kernel per home (searchLevel over data itself,
 // searchLevelSpilled over a copied window) and Range reads data directly.
@@ -74,6 +75,7 @@ type level struct {
 	start int           // first occupied cell; cells when empty
 	real  int           // occupied real+tombstone cells (excludes lookahead entries)
 	la    int           // occupied lookahead cells
+	idx   chunkIndex    // spilled and unaccounted: fences and filters of the image
 }
 
 func (lv *level) used() int   { return lv.cells - lv.start }

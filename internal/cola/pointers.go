@@ -118,9 +118,12 @@ func (c *GCOLA) checkInvariants() {
 			if lv.ext != nil && lv.ext.Cells() != lv.used() {
 				panic("cola: spilled image size does not match occupancy")
 			}
+			if c.opt.Space != nil && lv.idx.fences != nil {
+				panic("cola: accounted structure keeps a spill index")
+			}
 		} else {
-			if lv.ext != nil {
-				panic("cola: RAM level holds a spill image")
+			if lv.ext != nil || lv.idx.fences != nil {
+				panic("cola: RAM level holds a spill image or index")
 			}
 			if len(lv.data) != lv.cells {
 				panic("cola: RAM level storage does not match capacity")
@@ -137,6 +140,15 @@ func (c *GCOLA) checkInvariants() {
 			}
 			prevKey = e.key
 			first = false
+			if ix := &lv.idx; ix.valid {
+				j := i - lv.start
+				if j%spillChunkCells == 0 && ix.fences[j/spillChunkCells] != e.key {
+					panic("cola: spill index fence is not its chunk's first key")
+				}
+				if e.kind != kindLookahead && !ix.blooms[j/spillChunkCells].has(e.key) {
+					panic("cola: spill index filter misses a key of its chunk")
+				}
+			}
 			switch e.kind {
 			case kindLookahead:
 				if l+1 >= len(c.levels) {

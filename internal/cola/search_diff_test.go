@@ -270,10 +270,30 @@ type searchAnswer struct {
 	ok  bool
 }
 
+// indexedSpillDepth is the first spilled level of indexedTwin: from
+// level 7 on (g = 2), 5 (g = 3) and 4 (g = 4) a level spans chunks.
+const indexedSpillDepth = 2
+
+// indexedTwin builds the case once more as the out-of-core structure
+// whose searches the spill index steers: unaccounted, spilled from level
+// indexedSpillDepth on, at the smallest page cache. Close it when done.
+func indexedTwin(t testing.TB, sc searchCase) *GCOLA {
+	t.Helper()
+	c, err := Open(Options{Growth: sc.growth, PointerDensity: sc.density,
+		SpillDir: t.TempDir(), SpillDepth: indexedSpillDepth, SpillCacheBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.apply(c)
+	c.checkInvariants() // the index, too
+	return c
+}
+
 // runSearchCase holds the kernel's structure to the reference's: every
 // Search, every searchLevel over generated windows and every Range must
-// return the same and leave the stores charged the same. It returns the
-// kernel's structure and the probes with their answers.
+// return the same and leave the stores charged the same. The indexed
+// spilled twin must answer every probe as the reference does. It returns
+// the kernel's structure and the probes with their answers.
 func runSearchCase(t testing.TB, sc searchCase) (*GCOLA, []uint64, []searchAnswer) {
 	t.Helper()
 	kern, ref, kernStore, refStore := searchTwins(sc)
@@ -281,6 +301,8 @@ func runSearchCase(t testing.TB, sc searchCase) (*GCOLA, []uint64, []searchAnswe
 	if d := chargeDiff(kernStore, refStore); d != "" {
 		t.Fatalf("before the first probe: %s", d)
 	}
+	indexed := indexedTwin(t, sc)
+	defer indexed.Close()
 
 	seen := map[uint64]bool{0: true, ^uint64(0): true}
 	probes := []uint64{0, ^uint64(0)}
@@ -304,6 +326,9 @@ func runSearchCase(t testing.TB, sc searchCase) (*GCOLA, []uint64, []searchAnswe
 		if d := chargeDiff(kernStore, refStore); d != "" {
 			t.Fatalf("Search(%d): %s", k, d)
 		}
+		if iv, iok := indexed.Search(k); iv != rv || iok != rok {
+			t.Fatalf("indexed spilled Search(%d) = (%d, %v), the reference (%d, %v)", k, iv, iok, rv, rok)
+		}
 		answers[i] = searchAnswer{kv, kok}
 	}
 
@@ -326,6 +351,42 @@ func runSearchCase(t testing.TB, sc searchCase) (*GCOLA, []uint64, []searchAnswe
 			}
 			if d := chargeDiff(kernStore, refStore); d != "" {
 				t.Fatalf("level %d key %d window [%d, %d): %s", l, key, lo, hi, d)
+			}
+		}
+	}
+
+	// The index's narrowing must leave a level search as it was. At every
+	// chunk boundary of the indexed twin's levels, for the keys either side
+	// of it and their neighbours: a level the index skips holds no real or
+	// tombstone cell for the key, and one it narrows returns what the
+	// kernel returns over the whole level — answer and next window.
+	var w spillWindow
+	for l := range indexed.levels {
+		ilv := &indexed.levels[l]
+		if !ilv.idx.valid {
+			continue
+		}
+		cells := levelCells(indexed, l)
+		for j := 0; j < len(cells); j += spillChunkCells {
+			keys := []uint64{cells[j].key - 1, cells[j].key, cells[j].key + 1}
+			if j > 0 {
+				keys = append(keys, cells[j-1].key)
+			}
+			for _, key := range keys {
+				kv, ks, klo, khi := kern.searchLevel(l, key, -1, -1)
+				ref.refSearchLevel(l, key, -1, -1) // keeps the twin stores level
+				lo, hi, maybe := ilv.idx.window(ilv, key, -1, -1)
+				if !maybe {
+					if ks != notFound {
+						t.Fatalf("level %d key %d: the index skips a level that holds the key", l, key)
+					}
+					continue
+				}
+				iv, is, ilo, ihi := indexed.searchLevelSpilled(&w, l, key, lo, hi)
+				if iv != kv || is != ks || ilo != klo || ihi != khi {
+					t.Fatalf("level %d key %d narrowed to [%d, %d): (%d, %d, [%d, %d)), the whole level (%d, %d, [%d, %d))",
+						l, key, lo, hi, iv, is, ilo, ihi, kv, ks, klo, khi)
+				}
 			}
 		}
 	}
@@ -394,7 +455,25 @@ func searchTable() map[string][]byte {
 		"every small key deleted": ops(opBurst, 60, opDelete, 0, opDelete, 1, opDelete, 2, opDelete, 3, opDelete, 4,
 			opDelete, 5, opDelete, 6, opDelete, 7, opDelete, 8, opDelete, 9, opDelete, 10, opDelete, 11),
 		"deleted, then compacted": ops(opBurst, 60, opDelete, 3, opDelete, 4, opCompact, 0, opInsert, 3),
+		// At g = 2, p = 0.5 the 256 keys fill level 8 and leave level 7 its
+		// samples of every fourth; the 128 re-inserted keys then merge into
+		// level 7 beside them, a lookahead cell and a real of one key
+		// either side of the chunk boundary at the level's cell 128.
+		"lookahead and real across a chunk boundary": append(run(opInsert, 0, 256, 1), run(opInsert, 1, 129, 1)...),
+		// The same level 8, then every eighth key deleted: the 32
+		// tombstones meet level 5's samples of every sixteenth key.
+		"tombstones behind lookahead cells": append(run(opInsert, 0, 256, 1), run(opDelete, 7, 256, 8)...),
 	}
+}
+
+// run is the operation code applied to the arguments from, from+step, ...
+// below to.
+func run(code, from, to, step int) []byte {
+	var out []byte
+	for arg := from; arg < to; arg += step {
+		out = append(out, byte(code), byte(arg))
+	}
+	return out
 }
 
 // TestSearchMatchesReference is the differential test of the RAM search
@@ -465,4 +544,52 @@ func FuzzSearchMatchesReference(f *testing.F) {
 			runSearchCase(t, sc)
 		}
 	})
+}
+
+// indexEdges counts two shapes the spill index must not be fooled by in
+// the spilled levels of c: an equal-key run that straddles a chunk
+// boundary and holds a real or tombstone cell, and a tombstone behind a
+// lookahead cell of its key.
+func indexEdges(c *GCOLA) (straddles, tombstones int) {
+	for l := range c.levels {
+		if c.levels[l].ext == nil {
+			continue
+		}
+		cells := levelCells(c, l)
+		for j := 1; j < len(cells); j++ {
+			prev, e := cells[j-1], cells[j]
+			if prev.key != e.key {
+				continue
+			}
+			if j%spillChunkCells == 0 && (prev.kind != kindLookahead || e.kind != kindLookahead) {
+				straddles++
+			}
+			if prev.kind == kindLookahead && e.kind == kindTombstone {
+				tombstones++
+			}
+		}
+	}
+	return straddles, tombstones
+}
+
+// TestSearchTableReachesIndexEdges makes sure that the two shapes of
+// searchTable built for indexEdges' cases reach them as the indexed
+// spilled twin (at g = 2, p = 0.5), so that TestSearchMatchesReference
+// holds the indexed search to the reference across both.
+func TestSearchTableReachesIndexEdges(t *testing.T) {
+	table := searchTable()
+	for _, tc := range []struct {
+		shape    string
+		straddle bool
+	}{
+		{"lookahead and real across a chunk boundary", true},
+		{"tombstones behind lookahead cells", false},
+	} {
+		c := indexedTwin(t, searchCase{growth: 2, density: 0.5, ops: table[tc.shape]})
+		straddles, tombstones := indexEdges(c)
+		c.Close()
+		if tc.straddle && straddles == 0 || !tc.straddle && tombstones == 0 {
+			t.Errorf("%q: %d straddling equal-key runs, %d tombstones behind a lookahead cell", tc.shape, straddles, tombstones)
+		}
+	}
 }

@@ -377,6 +377,7 @@ func (c *GCOLA) ReadFrom(r io.Reader) (int64, error) {
 		}
 		lv := level{start: int(start), cells: capTotal}
 		spilled := c.spilledLevel(l)
+		var ix *chunkIndex
 		if !spilled {
 			lv.data = make([]entry, capTotal)
 		} else if used > 0 {
@@ -385,6 +386,7 @@ func (c *GCOLA) ReadFrom(r io.Reader) (int64, error) {
 				return sr.n, fmt.Errorf("cola: level %d spill writer during load: %w", l, werr)
 			}
 			pendingWriter = w
+			ix = c.startIndex(&lv)
 		}
 		// Lookahead entries point into level l+1, whose geometry is
 		// deterministic even though it is not decoded yet. The deepest
@@ -426,6 +428,9 @@ func (c *GCOLA) ReadFrom(r io.Reader) (int64, error) {
 					copy(raw, wire[:entryBytes])
 					clear(raw[entryBytes:extmem.CellBytes])
 					raw = raw[extmem.CellBytes:]
+					if ix != nil {
+						ix.add(i-lv.start, e.key, e.kind)
+					}
 				} else {
 					lv.data[i] = e
 				}
@@ -447,6 +452,7 @@ func (c *GCOLA) ReadFrom(r io.Reader) (int64, error) {
 			}
 			committedIDs = append(committedIDs, l)
 			lv.ext = img
+			ix.commit()
 		}
 		totalReal += lv.real
 		var off int64

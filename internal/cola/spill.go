@@ -8,7 +8,12 @@ package cola
 //     charges are issued at the same logical cell offsets in the same
 //     order, so predicted transfer counts do not depend on where a
 //     level lives and the spill store's actual-I/O counters can be read
-//     against the unchanged prediction.
+//     against the unchanged prediction. That is why only an
+//     unaccounted structure keeps a spill index (chunkIndex): fences
+//     and Bloom filters in RAM that let a search read only the level
+//     that can hold its key, about one chunk per search where the
+//     lookahead pointers alone read one per level visited. An
+//     accounted structure reads, and charges, every level it visits.
 //   - Merges remain sequential streams, through the one merge of both
 //     homes (merge.go). A spilled level is never materialized in RAM: a
 //     source's cells are decoded a slab at a time out of an extmem.Reader's
@@ -71,12 +76,21 @@ func (c *GCOLA) cellAt(l, i int) entry {
 }
 
 // searchWindowCells is how many cells of a spilled level one search
-// copies out at a time. A lookahead window is about 2/p + 1 cells (23
-// at the paper's p = 0.1) and the scans that follow the binary search
-// run to the next lookahead cell, about 1/p + 1 further on average, so
-// 64 cells (2 KiB of stack, at most two chunks) leave the per-cell
-// fallback to the rare long scan; 96 measured no fewer lookups.
-const searchWindowCells = 64
+// copies out at a time: one chunk, 4 KiB of stack. A search that the
+// level's index narrowed (see chunkIndex) needs no more — its interval
+// lies inside one chunk, and everything after it is scans. Unnarrowed, a
+// lookahead window is about 2/p + 1 cells (23 at the paper's p = 0.1)
+// and the scans that follow the binary search run to the next lookahead
+// cell, about 1/p + 1 further on average, so the buffer leaves the
+// per-cell fallback to the rare long scan.
+const searchWindowCells = spillChunkCells
+
+// searchSpanCells is how wide an interval that straddles a chunk boundary
+// may be before a search copies it out: wider, the binary search probes
+// cell by cell, so that a chunk none of its probes would reach is never
+// read. An interval inside one chunk is copied out at any width — every
+// probe left reads that chunk anyway.
+const searchSpanCells = 32
 
 // spillWindow is a search's private copy of cells [base, end) of one
 // spilled level. It is a copy, not level storage: it lives on the
@@ -156,13 +170,25 @@ func (w *spillWindow) cell(c *GCOLA, l, i int) entry {
 
 // searchSpilledLevels finishes a Search over the spilled levels from..,
 // given the window [lo, hi) the last RAM level derived for level from.
-// One window buffer serves every level.
+// One window buffer serves every level. A level with a valid index is
+// first asked whether it can hold the key at all: one that cannot is
+// skipped without a read, and the level after it is entered through its
+// own fences; one that can is searched inside the chunk its fences name,
+// cut down further by the lookahead window when there is one.
 func (c *GCOLA) searchSpilledLevels(from int, key uint64, lo, hi int) (uint64, bool) {
 	var w spillWindow
 	for l := from; l < len(c.levels); l++ {
-		if c.levels[l].empty() {
+		lv := &c.levels[l]
+		if lv.empty() {
 			lo, hi = -1, -1
 			continue
+		}
+		if lv.idx.valid {
+			var maybe bool
+			if lo, hi, maybe = lv.idx.window(lv, key, lo, hi); !maybe {
+				lo, hi = -1, -1
+				continue
+			}
 		}
 		val, state, nlo, nhi := c.searchLevelSpilled(&w, l, key, lo, hi)
 		switch state {
@@ -180,12 +206,12 @@ func (c *GCOLA) searchSpilledLevels(from int, key uint64, lo, hi int) (uint64, b
 // sequence, equal-key scan, left read and right-bound scan, charged at
 // the same logical cells in the same order, but reading from a copy of
 // the window instead of one page-cache lookup per cell. While the
-// binary search's interval is wider than half the buffer (an unknown
-// window after a gap of empty levels) it probes cell by cell; once it
-// fits, its cells and their useful neighbours in the same chunks are
-// fetched with one ReadCells (spillWindow.load) and everything else
-// runs inside the copy, falling back to cellAt only for a cell outside
-// it.
+// binary search's interval straddles a chunk boundary and is wider than
+// searchSpanCells (an unknown window after a gap of empty levels) it
+// probes cell by cell; once it fits, its cells and their useful
+// neighbours in the same chunks are fetched with one ReadCells
+// (spillWindow.load) and everything else runs inside the copy, falling
+// back to cellAt only for a cell outside it.
 //
 //repro:charges opt.Space (one cell per probe, scan reads)
 func (c *GCOLA) searchLevelSpilled(w *spillWindow, l int, key uint64, lo, hi int) (uint64, searchState, int, int) {
@@ -201,7 +227,7 @@ func (c *GCOLA) searchLevelSpilled(w *spillWindow, l int, key uint64, lo, hi int
 	}
 
 	i, j := lo, hi
-	for j-i > searchWindowCells/2 {
+	for j-i > searchSpanCells && (i-lv.start)/spillChunkCells != (j-1-lv.start)/spillChunkCells {
 		mid := int(uint(i+j) >> 1)
 		c.chargeRead(l, mid, 1)
 		if c.cellAt(l, mid).key >= key {
@@ -210,7 +236,7 @@ func (c *GCOLA) searchLevelSpilled(w *spillWindow, l int, key uint64, lo, hi int
 			i = mid + 1
 		}
 	}
-	w.load(c, l, i, j) // j - i <= searchWindowCells/2: every probe left is in it
+	w.load(c, l, i, j) // one chunk, or at most searchSpanCells cells: every probe left is in it
 	for i < j {
 		mid := int(uint(i+j) >> 1)
 		c.chargeRead(l, mid, 1)
@@ -273,6 +299,7 @@ func (c *GCOLA) clearLevel(l int) {
 	lv.start = lv.cells
 	lv.real = 0
 	lv.la = 0
+	lv.idx.valid = false
 	if lv.ext != nil {
 		if err := c.ext.RemoveLevel(l); err != nil {
 			panic(fmt.Sprintf("cola: removing level %d spill image: %v", l, err))
@@ -295,20 +322,24 @@ func (c *GCOLA) writeSpilledLevel(l, last int) int {
 		panic(fmt.Sprintf("cola: level %d spill writer: %v", l, err))
 	}
 	defer w.Abort() // a no-op once committed
+	ix := c.startIndex(&c.levels[l])
 	n := 0
 	for c.scratch.refill(last) {
 		cells := c.scratch.steps[last].out
-		n += len(cells)
 		for len(cells) > 0 {
 			room := w.Room()
 			k := min(len(cells), len(room)/extmem.CellBytes)
 			for i, e := range cells[:k] {
 				encodeCell((*[extmem.CellBytes]byte)(room[i*extmem.CellBytes:]), e)
+				if ix != nil {
+					ix.add(n+i, e.key, e.kind)
+				}
 			}
 			if err := w.Fill(k); err != nil {
 				panic(fmt.Sprintf("cola: level %d spill write: %v", l, err))
 			}
 			cells = cells[k:]
+			n += k
 		}
 	}
 	if n == 0 {
@@ -320,5 +351,148 @@ func (c *GCOLA) writeSpilledLevel(l, last int) int {
 		panic(fmt.Sprintf("cola: level %d spill commit: %v", l, err))
 	}
 	c.levels[l].ext = img
+	ix.commit()
 	return n
+}
+
+// chunkIndex is a spilled level's derived in-RAM index: for every chunk
+// of its image, the chunk's first key (its fence) and a Bloom block over
+// the chunk's real and tombstone keys — lookahead cells are left out, as
+// they are never an answer. That is 136 bytes a chunk, 3.3% of the
+// bytes it describes, allocated once per level at the level's capacity
+// and rewritten with every image.
+//
+// Only an unaccounted structure (Options.Space == nil) keeps one. A
+// level the index lets a search skip is a level it does not read, and
+// so does not charge: the DAM stream would stop being the in-RAM
+// structure's. The index is built in the loop that encodes an image's
+// cells (writeSpilledLevel, ReadFrom), is never persisted, and is valid
+// only from the image's commit on: a rewrite that fails half-way leaves
+// the level's old image under an index that no longer describes it, and
+// searches read that level in full until its next image.
+type chunkIndex struct {
+	fences []uint64     // first key of each chunk
+	blooms []chunkBloom // real and tombstone keys of each chunk
+	valid  bool         // the index describes the level's image
+}
+
+// startIndex readies level lv's index for an image about to be written,
+// allocating it on first use; nil for an accounted structure, which
+// keeps none. commit is a no-op on nil; callers test for nil before add,
+// which stays small enough to inline into their encode loops that way.
+func (c *GCOLA) startIndex(lv *level) *chunkIndex {
+	if c.opt.Space != nil {
+		return nil
+	}
+	ix := &lv.idx
+	if ix.fences == nil {
+		chunks := (lv.cells + spillChunkCells - 1) / spillChunkCells
+		ix.fences = make([]uint64, chunks)
+		ix.blooms = make([]chunkBloom, chunks)
+	}
+	ix.valid = false
+	return ix
+}
+
+// add records file cell j of the image being written — cells arrive in
+// order from 0 — holding a cell of the given key and kind.
+func (ix *chunkIndex) add(j int, key uint64, kind uint8) {
+	ch := uint(j) / spillChunkCells
+	if uint(j)%spillChunkCells == 0 {
+		ix.fences[ch] = key
+		ix.blooms[ch] = chunkBloom{}
+	}
+	if kind != kindLookahead {
+		ix.blooms[ch].add(key)
+	}
+}
+
+// commit marks the index as describing the image just committed.
+func (ix *chunkIndex) commit() {
+	if ix != nil {
+		ix.valid = true
+	}
+}
+
+// window narrows a search of the occupied spilled level lv for key. The
+// key's equal-key run starts in the last chunk whose fence is below the
+// key (or at the level's first cell) and can reach every chunk whose
+// fence equals it; when none of those chunks' Bloom blocks admits the
+// key, the level holds no real or tombstone cell for it and the result
+// is false. Otherwise it is [lo, hi) cut down to the first of those
+// chunks, where the first cell >= key lies (at worst one past its end):
+// what is left of the binary search after the fences.
+func (ix *chunkIndex) window(lv *level, key uint64, lo, hi int) (int, int, bool) {
+	if lv.real == 0 {
+		return 0, 0, false
+	}
+	fences := ix.fences[:(lv.used()+spillChunkCells-1)/spillChunkCells]
+	i, j := 0, len(fences) // last is the first chunk whose fence is above key
+	for i < j {
+		mid := int(uint(i+j) >> 1)
+		if fences[mid] > key {
+			j = mid
+		} else {
+			i = mid + 1
+		}
+	}
+	last := i - 1
+	if last < 0 {
+		return 0, 0, false // every key of the level is above this one
+	}
+	first := last
+	for first > 0 && fences[first] == key {
+		first--
+	}
+	for ch := first; ; ch++ {
+		if ix.blooms[ch].has(key) {
+			break
+		}
+		if ch == last {
+			return 0, 0, false
+		}
+	}
+	from := lv.start + first*spillChunkCells
+	to := min(from+spillChunkCells, lv.cells)
+	if lo < from {
+		lo = from
+	}
+	if hi < 0 || hi > to {
+		hi = to
+	}
+	return lo, hi, true
+}
+
+// chunkBloom is one chunk's Bloom block: 1024 bits for at most
+// spillChunkCells keys, eight bits a key. A key sets bloomProbes bits,
+// each at ten bits of one 64-bit hash, which at a full chunk admits
+// about 2.4% of the keys it does not hold.
+type chunkBloom [16]uint64
+
+// bloomProbes is how many bits of a chunkBloom one key sets.
+const bloomProbes = 4
+
+// bloomHash mixes a key into the bits the probes are cut from.
+func bloomHash(key uint64) uint64 {
+	h := key * 0x9E3779B97F4A7C15
+	return h ^ h>>32
+}
+
+func (b *chunkBloom) add(key uint64) {
+	h := bloomHash(key)
+	for range bloomProbes {
+		b[h>>6&15] |= 1 << (h & 63)
+		h >>= 10
+	}
+}
+
+func (b *chunkBloom) has(key uint64) bool {
+	h := bloomHash(key)
+	for range bloomProbes {
+		if b[h>>6&15]&(1<<(h&63)) == 0 {
+			return false
+		}
+		h >>= 10
+	}
+	return true
 }

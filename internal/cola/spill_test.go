@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dam"
+	"repro/internal/extmem"
 	"repro/internal/workload"
 )
 
@@ -422,6 +423,23 @@ func TestSpillSnapshotRoundTrip(t *testing.T) {
 	if files, _, _ := intoSpill.SpillFileStats(); files == 0 {
 		t.Fatal("loading a deep snapshot into a spilled structure created no spill files")
 	}
+	// ReadFrom writes each image's index with it (checkInvariants above
+	// held every valid one to its image): searches after the load still
+	// skip the levels that cannot hold their key, reading about one chunk
+	// each, not one per spilled level.
+	for l, lv := range intoSpill.levels {
+		if lv.ext != nil && !lv.idx.valid {
+			t.Fatalf("RAM->spilled: level %d loaded without its index", l)
+		}
+	}
+	intoSpill.DropSpillCache()
+	intoSpill.ResetSpillCounters()
+	for _, k := range keys {
+		intoSpill.Search(k)
+	}
+	if reads, _ := intoSpill.ActualTransfers(); float64(reads) > 1.2*float64(len(keys)) {
+		t.Fatalf("RAM->spilled: %d chunk reads over %d searches, want at most 1.2 each", reads, len(keys))
+	}
 
 	// A failed load must leave no spill files behind.
 	trunc := spBuf.Bytes()[:spBuf.Len()-13]
@@ -436,40 +454,61 @@ func TestSpillSnapshotRoundTrip(t *testing.T) {
 
 // TestSpillSharedReadStress runs bracketed concurrent searches and range
 // scans over a spilled structure under the race detector: the striped
-// page cache, filling from every goroutine at once, must hold up.
+// page cache, filling from every goroutine at once, must hold up. The
+// unaccounted structure's searches go through its spill index; the
+// accounted one keeps none and reads every level it visits.
 func TestSpillSharedReadStress(t *testing.T) {
-	c := openSpilled(t, Options{Growth: 2, PointerDensity: DefaultPointerDensity})
-	const n = 4000
-	seq := workload.NewRandomUnique(13)
-	keys := make([]uint64, 0, n)
-	for i := 0; i < n; i++ {
-		k := seq.Next()
-		keys = append(keys, k)
-		c.Insert(k, k+1)
-	}
-	c.BeginSharedReads()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(seed int) {
-			defer wg.Done()
-			x := uint64(seed)*2654435761 + 1
-			for i := 0; i < 500; i++ {
-				x = x*6364136223846793005 + 1442695040888963407
-				k := keys[int(x>>33)%len(keys)]
-				if v, ok := c.Search(k); !ok || v != k+1 {
-					t.Errorf("Search(%d) = (%d,%v) during epoch", k, v, ok)
-					return
-				}
-				if i%50 == 0 {
-					c.Range(k, k+1000, func(core.Element) bool { return true })
-				}
+	for _, tc := range []struct {
+		name  string
+		space *dam.Space
+	}{
+		{"unaccounted", nil},
+		{"accounted", dam.NewStore(4096, 1<<15).Space("cola")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := openSpilled(t, Options{Growth: 2, PointerDensity: DefaultPointerDensity, Space: tc.space})
+			const n = 4000
+			seq := workload.NewRandomUnique(13)
+			keys := make([]uint64, 0, n)
+			stored := make(map[uint64]bool, n)
+			for i := 0; i < n; i++ {
+				k := seq.Next()
+				keys = append(keys, k)
+				stored[k] = true
+				c.Insert(k, k+1)
 			}
-		}(g)
+			if indexed := indexBytes(c) > 0; indexed != (tc.space == nil) {
+				t.Fatalf("spill index built: %v", indexed)
+			}
+			c.BeginSharedReads()
+			var wg sync.WaitGroup
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func(seed int) {
+					defer wg.Done()
+					x := uint64(seed)*2654435761 + 1
+					for i := 0; i < 500; i++ {
+						x = x*6364136223846793005 + 1442695040888963407
+						k := keys[int(x>>33)%len(keys)]
+						if v, ok := c.Search(k); !ok || v != k+1 {
+							t.Errorf("Search(%d) = (%d,%v) during epoch", k, v, ok)
+							return
+						}
+						if !stored[k+1] && c.Contains(k+1) {
+							t.Errorf("Search(%d) found an absent key during epoch", k+1)
+							return
+						}
+						if i%50 == 0 {
+							c.Range(k, k+1000, func(core.Element) bool { return true })
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+			c.EndSharedReads()
+			c.checkInvariants()
+		})
 	}
-	wg.Wait()
-	c.EndSharedReads()
-	c.checkInvariants()
 }
 
 // TestSpillOpenValidation covers the spill configuration errors.
@@ -518,5 +557,143 @@ func TestSpillCloseRemovesDir(t *testing.T) {
 	}
 	if _, err := os.Stat(dir); !os.IsNotExist(err) {
 		t.Fatalf("spill dir %s survives Close (stat err %v)", dir, err)
+	}
+}
+
+// indexBytes is the RAM the spill index of c holds.
+func indexBytes(c *GCOLA) int64 {
+	var n int64
+	for _, lv := range c.levels {
+		n += int64(cap(lv.idx.fences))*8 + int64(cap(lv.idx.blooms))*int64(len(chunkBloom{}))*8
+	}
+	return n
+}
+
+// TestSpillIndexChunkReads pins the I/O the spill index saves, at equal
+// memory. Two spilled structures hold the same 2^16 - 1 keys, so that
+// every level holds real cells and a search must be turned away from
+// each level that does not hold its key. The unaccounted one keeps an
+// index and the smallest page cache; its accounted twin keeps no index
+// and gets the same cache plus the index's bytes. Over uniform searches
+// for keys they hold, the indexed structure must read at most 1.2 chunks
+// a search, and the twin at least twice as many: the bytes do more as
+// fences and filters than as page cache.
+func TestSpillIndexChunkReads(t *testing.T) {
+	const n = 1<<16 - 1
+	indexed := openSpilled(t, Options{Growth: 2, PointerDensity: DefaultPointerDensity})
+	keys := prefillGCOLA(t, indexed, n)
+	spent := indexBytes(indexed)
+	if spent == 0 {
+		t.Fatal("the unaccounted structure built no index")
+	}
+	store := dam.NewStore(4096, 1<<20)
+	twin := openSpilled(t, Options{Growth: 2, PointerDensity: DefaultPointerDensity, Space: store.Space("twin"),
+		SpillCacheBytes: extmem.MinCacheChunks*extmem.DefaultChunkBytes + spent})
+	prefillGCOLA(t, twin, n)
+	if b := indexBytes(twin); b != 0 {
+		t.Fatalf("the accounted twin built a %d-byte index", b)
+	}
+
+	const searches = 20000
+	perSearch := func(c *GCOLA) float64 {
+		rng := workload.NewRNG(3)
+		for i := 0; i < searches/10; i++ { // warm the cache
+			c.Search(keys[rng.Intn(len(keys))])
+		}
+		c.ResetSpillCounters()
+		for i := 0; i < searches; i++ {
+			if k := keys[rng.Intn(len(keys))]; !c.Contains(k) {
+				t.Fatalf("Search(%d) missed a stored key", k)
+			}
+		}
+		reads, _ := c.ActualTransfers()
+		return float64(reads) / searches
+	}
+	got, base := perSearch(indexed), perSearch(twin)
+	t.Logf("chunk reads per search: indexed %.3f (index %d KiB), accounted twin %.3f (cache %d KiB)",
+		got, spent>>10, base, twin.opt.SpillCacheBytes>>10)
+	if got > 1.2 {
+		t.Errorf("indexed: %.3f chunk reads per search, want at most 1.2", got)
+	}
+	if base < 2*got {
+		t.Errorf("accounted twin with the index's bytes as cache: %.3f chunk reads per search, want at least 2x the indexed %.3f", base, got)
+	}
+}
+
+// TestSpillIndexInvalidDuringRewrite covers the state a failed rewrite
+// leaves behind. At g = 3 a merge can target a level that already holds
+// an image; writeSpilledLevel starts that level's index over before the
+// first cell and marks it valid only at the commit, so a rewrite that
+// fails half-way keeps the old image under a half-rebuilt index. Here
+// the index of such a level is started over and half refilled with
+// other keys, as the failed rewrite would leave it: searches must
+// ignore it and still find every key of the old image. Marked valid,
+// the same index must lose keys — the check can tell.
+func TestSpillIndexInvalidDuringRewrite(t *testing.T) {
+	c := openSpilled(t, Options{Growth: 3, PointerDensity: DefaultPointerDensity})
+	seq := workload.NewRandomUnique(31)
+	var keys []uint64
+	for len(c.levels) <= 7 || c.levels[7].ext == nil || c.levels[0].empty() || c.mergeTarget() != 7 {
+		k := seq.Next()
+		keys = append(keys, k)
+		c.Insert(k, k+1)
+	}
+	lv := &c.levels[7]
+	if !lv.idx.valid {
+		t.Fatal("level 7 carries no valid spill index")
+	}
+	ix := c.startIndex(lv)
+	for j := 0; j < lv.used()/2; j++ {
+		ix.add(j, uint64(j), kindReal)
+	}
+	c.checkInvariants()
+	missed := func() (n int) {
+		for _, k := range keys {
+			if v, ok := c.Search(k); !ok || v != k+1 {
+				n++
+			}
+		}
+		return n
+	}
+	if n := missed(); n != 0 {
+		t.Fatalf("%d of %d keys lost under a level's invalid index", n, len(keys))
+	}
+	ix.valid = true
+	if missed() == 0 {
+		t.Fatal("a half-rebuilt index marked valid lost no key: the test cannot tell")
+	}
+}
+
+// TestSpillIndexEqualKeyRunOrder holds the index to the key's whole
+// equal-key run, whatever order its cells come in. A merge emits a key's
+// lookahead cells before its real one, but a loaded snapshot is only
+// checked for key order, so a real can precede a lookahead cell of its
+// key. Here one does, as the last cell of a chunk whose successor starts
+// with that lookahead cell: the real must still be found.
+func TestSpillIndexEqualKeyRunOrder(t *testing.T) {
+	c := openSpilled(t, Options{Growth: 2, PointerDensity: DefaultPointerDensity})
+	const l, k = 8, 1000
+	c.ensureLevel(l + 1)
+	cells := make([]entry, 0, 2*spillChunkCells)
+	for i := uint64(0); i < spillChunkCells-1; i++ {
+		cells = append(cells, entry{key: i, val: i + 1, left: -1})
+	}
+	cells = append(cells, entry{key: k, val: k + 1, left: -1}, entry{key: k, ptr: int32(c.levels[l+1].cells - 1), left: -1, kind: kindLookahead})
+	for i := uint64(k + 1); len(cells) < 2*spillChunkCells; i++ {
+		cells = append(cells, entry{key: i, val: i + 1, left: -1})
+	}
+	c.installLevel(l, cells)
+	lv := &c.levels[l]
+	if lv.la != 1 || !lv.idx.valid || lv.idx.fences[1] != k {
+		t.Fatalf("level %d: %d lookahead cells, index valid %v, second fence %d; the fixture wants 1, a valid index, %d",
+			l, lv.la, lv.idx.valid, lv.idx.fences[1], k)
+	}
+	for _, want := range cells {
+		if want.kind == kindLookahead {
+			continue
+		}
+		if v, ok := c.Search(want.key); !ok || v != want.val {
+			t.Fatalf("Search(%d) = (%d, %v), want (%d, true)", want.key, v, ok, want.val)
+		}
 	}
 }

@@ -65,24 +65,30 @@ func (c *Client) Close() error {
 
 // SendGet enqueues a GET without flushing.
 func (c *Client) SendGet(key uint64) error {
-	var p [8]byte
-	binary.BigEndian.PutUint64(p[:], key)
-	return c.send(OpGet, p[:])
+	b, err := c.request(OpGet, 8)
+	if err != nil {
+		return err
+	}
+	return c.write(binary.BigEndian.AppendUint64(b, key))
 }
 
 // SendPut enqueues a PUT without flushing.
 func (c *Client) SendPut(key, value uint64) error {
-	var p [16]byte
-	binary.BigEndian.PutUint64(p[:], key)
-	binary.BigEndian.PutUint64(p[8:], value)
-	return c.send(OpPut, p[:])
+	b, err := c.request(OpPut, 16)
+	if err != nil {
+		return err
+	}
+	b = binary.BigEndian.AppendUint64(b, key)
+	return c.write(binary.BigEndian.AppendUint64(b, value))
 }
 
 // SendDel enqueues a DEL without flushing.
 func (c *Client) SendDel(key uint64) error {
-	var p [8]byte
-	binary.BigEndian.PutUint64(p[:], key)
-	return c.send(OpDel, p[:])
+	b, err := c.request(OpDel, 8)
+	if err != nil {
+		return err
+	}
+	return c.write(binary.BigEndian.AppendUint64(b, key))
 }
 
 // SendBatch enqueues a BATCH-PUT without flushing. The batch must hold
@@ -91,18 +97,20 @@ func (c *Client) SendBatch(elems []core.Element) error {
 	if len(elems) > MaxBatchElems {
 		return fmt.Errorf("server: batch of %d exceeds the %d-element frame limit", len(elems), MaxBatchElems)
 	}
-	var hdr [headerBytes + 1 + 4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(1+4+len(elems)*16))
-	hdr[4] = OpBatch
-	binary.BigEndian.PutUint32(hdr[5:], uint32(len(elems)))
-	if _, err := c.bw.Write(hdr[:]); err != nil {
+	b, err := c.room(headerBytes + 1 + 4)
+	if err != nil {
 		return err
 	}
-	var e [16]byte
+	b = appendHeader(b, OpBatch, 4+len(elems)*16)
+	if err := c.write(binary.BigEndian.AppendUint32(b, uint32(len(elems)))); err != nil {
+		return err
+	}
 	for _, el := range elems {
-		binary.BigEndian.PutUint64(e[:], el.Key)
-		binary.BigEndian.PutUint64(e[8:], el.Value)
-		if _, err := c.bw.Write(e[:]); err != nil {
+		if b, err = c.room(16); err != nil {
+			return err
+		}
+		b = binary.BigEndian.AppendUint64(b, el.Key)
+		if err := c.write(binary.BigEndian.AppendUint64(b, el.Value)); err != nil {
 			return err
 		}
 	}
@@ -112,24 +120,51 @@ func (c *Client) SendBatch(elems []core.Element) error {
 // SendRange enqueues a RANGE without flushing; the server returns at
 // most max elements (capped at MaxBatchElems).
 func (c *Client) SendRange(lo, hi uint64, max int) error {
-	var p [20]byte
-	binary.BigEndian.PutUint64(p[:], lo)
-	binary.BigEndian.PutUint64(p[8:], hi)
-	binary.BigEndian.PutUint32(p[16:], uint32(max))
-	return c.send(OpRange, p[:])
+	b, err := c.request(OpRange, 20)
+	if err != nil {
+		return err
+	}
+	b = binary.BigEndian.AppendUint64(b, lo)
+	b = binary.BigEndian.AppendUint64(b, hi)
+	return c.write(binary.BigEndian.AppendUint32(b, uint32(max)))
 }
 
 // SendStats enqueues a STATS without flushing.
-func (c *Client) SendStats() error { return c.send(OpStats, nil) }
-
-func (c *Client) send(op byte, payload []byte) error {
-	var hdr [headerBytes + 1]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(1+len(payload)))
-	hdr[4] = op
-	if _, err := c.bw.Write(hdr[:]); err != nil {
+func (c *Client) SendStats() error {
+	b, err := c.request(OpStats, 0)
+	if err != nil {
 		return err
 	}
-	_, err := c.bw.Write(payload)
+	return c.write(b)
+}
+
+// request starts a request frame of op with an n-byte payload in the
+// write buffer's free space (see room); the caller appends the payload
+// and hands the frame to write.
+func (c *Client) request(op byte, n int) ([]byte, error) {
+	b, err := c.room(headerBytes + 1 + n)
+	if err != nil {
+		return nil, err
+	}
+	return appendHeader(b, op, n), nil
+}
+
+// room returns an empty slice over the write buffer's free space, with
+// capacity for at least n bytes, flushing first when the buffer lacks
+// it. A frame built there costs no allocation; built in an array of its
+// own, it would escape through bufio.Writer.Write.
+func (c *Client) room(n int) ([]byte, error) {
+	if c.bw.Available() < n {
+		if err := c.bw.Flush(); err != nil {
+			return nil, err
+		}
+	}
+	return c.bw.AvailableBuffer(), nil
+}
+
+// write commits bytes appended to a room slice to the write buffer.
+func (c *Client) write(b []byte) error {
+	_, err := c.bw.Write(b)
 	return err
 }
 

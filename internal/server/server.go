@@ -182,16 +182,24 @@ type conn struct {
 
 	batch []core.Element //repro:scratch coalesced consecutive PUTs
 	elems []core.Element //repro:scratch BATCH decode scratch
+
+	// A RANGE's callback and its count and limit: bound once, so that
+	// handleRange hands Range no closure that escapes with a fresh
+	// context per request.
+	rangeEmit        func(core.Element) bool
+	rangeN, rangeMax uint32
 }
 
 func newConn(s *Server, nc net.Conn) *conn {
-	return &conn{
+	c := &conn{
 		s:   s,
 		nc:  nc,
 		br:  bufio.NewReaderSize(nc, 1<<16),
 		out: make([]byte, 0, 1<<12),
 		req: make([]byte, 0, 1<<12),
 	}
+	c.rangeEmit = c.emitRange
+	return c
 }
 
 // serve runs the request loop until the peer closes, a framing error
@@ -390,18 +398,22 @@ func (c *conn) handleRange(payload []byte) {
 	c.out = binary.BigEndian.AppendUint32(c.out, 0) // frame length, patched
 	c.out = append(c.out, StatusOK)
 	c.out = binary.BigEndian.AppendUint32(c.out, 0) // element count, patched
-	n := uint32(0)
+	c.rangeN, c.rangeMax = 0, max
 	if max > 0 {
-		c.s.d.Range(lo, hi, func(e core.Element) bool {
-			c.out = binary.BigEndian.AppendUint64(c.out, e.Key)
-			c.out = binary.BigEndian.AppendUint64(c.out, e.Value)
-			n++
-			return n < max
-		})
+		c.s.d.Range(lo, hi, c.rangeEmit)
 	}
+	n := c.rangeN
 	binary.BigEndian.PutUint32(c.out[head:], uint32(1+4+n*16))
 	binary.BigEndian.PutUint32(c.out[head+5:], n)
 	c.s.lat[ClassRange].Observe(uint64(time.Since(start)))
+}
+
+// emitRange appends one element of a RANGE reply and counts it.
+func (c *conn) emitRange(e core.Element) bool {
+	c.out = binary.BigEndian.AppendUint64(c.out, e.Key)
+	c.out = binary.BigEndian.AppendUint64(c.out, e.Value)
+	c.rangeN++
+	return c.rangeN < c.rangeMax
 }
 
 // handleStats encodes the stats payload: caps mask, live length, DAM

@@ -316,6 +316,70 @@ func TestGetHotPathZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestServedRequestsZeroAlloc extends the zero-allocation contract from
+// the GET handler to the whole served path of every fixed-size request:
+// a pipelined window of GETs, PUTs (two of them back to back, so the
+// server coalesces them), DELs and RANGEs, built by Client, sent over a
+// loopback socket, read, dispatched and answered by a live connection's
+// request loop, and its replies read back. Once both sides' buffers
+// exist and the structure has every level its keys need, a window must
+// allocate nothing in either process half.
+func TestServedRequestsZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector, and the shard map pools its batch and Range scratch")
+	}
+	d := mustBuild(t, "sharded", registry.WithShards(2), registry.WithInner("gcola"))
+	for i := uint64(0); i < 4096; i++ {
+		d.Insert(i*2, i)
+	}
+	_, addr := startServer(t, d)
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	key := uint64(0)
+	window := func() {
+		const requests = 6
+		for i := 0; i < 4; i++ {
+			k := key % 8192
+			key += 7
+			errs := []error{
+				cl.SendGet(k),
+				cl.SendPut(k+1, k),
+				cl.SendPut(k+3, k),
+				cl.SendDel(k + 3),
+				cl.SendRange(k, k+40, 8),
+				cl.SendGet(k + 1),
+			}
+			for _, err := range errs {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := cl.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 4*requests; i++ {
+			r, err := cl.ReadReply()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Status != StatusOK && r.Status != StatusNotFound {
+				t.Fatalf("reply %d: %s", i, StatusText(r.Status))
+			}
+		}
+	}
+	for i := 0; i < 2000; i++ { // every level the keys need, every buffer
+		window()
+	}
+	if allocs := testing.AllocsPerRun(500, window); allocs != 0 {
+		t.Fatalf("a pipelined window of 24 served requests allocates %g times, want 0", allocs)
+	}
+}
+
 // readFull is io.ReadFull without importing io in tests that otherwise
 // manipulate raw frames.
 func readFull(nc net.Conn, buf []byte) (int, error) {

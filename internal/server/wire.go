@@ -81,6 +81,10 @@ const (
 // headerBytes is the frame-length prefix size.
 const headerBytes = 4
 
+// minFrameBuf is the capacity readFrame gives a buffer it has to
+// allocate: room for every fixed-size request and reply frame.
+const minFrameBuf = 256
+
 // StatusText names a status byte for error messages and logs.
 func StatusText(s byte) string { return statusName(s) }
 
@@ -170,21 +174,31 @@ func capsOfMask(m uint32) core.Caps {
 
 // appendFrame appends one frame (header, kind byte, payload) to dst.
 func appendFrame(dst []byte, kind byte, payload ...byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(1+len(payload)))
-	dst = append(dst, kind)
-	return append(dst, payload...)
+	return append(appendHeader(dst, kind, len(payload)), payload...)
+}
+
+// appendHeader appends the header and kind byte of a frame whose payload
+// is n bytes long.
+func appendHeader(dst []byte, kind byte, n int) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(1+n))
+	return append(dst, kind)
 }
 
 // readFrame reads one frame into buf (grown as needed) and returns the
 // kind byte, the payload (aliasing buf), and the possibly-grown buffer.
-// A frame longer than MaxFrameBytes returns errFrameTooLarge without
+// The length prefix is read into buf too: a header array of its own
+// would escape through io.Reader and cost an allocation per frame. A
+// frame longer than MaxFrameBytes returns errFrameTooLarge without
 // consuming the body, so the caller can answer before closing.
 func readFrame(r io.Reader, buf []byte) (kind byte, payload, newBuf []byte, err error) {
-	var hdr [headerBytes]byte
-	if _, err = io.ReadFull(r, hdr[:]); err != nil {
+	if cap(buf) < headerBytes {
+		buf = make([]byte, headerBytes, minFrameBuf)
+	}
+	hdr := buf[:headerBytes]
+	if _, err = io.ReadFull(r, hdr); err != nil {
 		return 0, nil, buf, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n == 0 {
 		return 0, nil, buf, errEmptyFrame
 	}
