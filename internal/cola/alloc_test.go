@@ -29,7 +29,8 @@ func prefillGCOLA(t *testing.T, c *GCOLA, n int) []uint64 {
 // TestSearchAllocsSteadyState asserts the zero-allocation contract of
 // the search hot path, with lookahead pointers present (the paper's
 // default density, so the fractional-cascading window path is what
-// runs, not the basic-COLA fallback).
+// runs, not the basic-COLA fallback) and an indexed RAM level, which
+// searches for held keys and for their absent successors narrow or skip.
 func TestSearchAllocsSteadyState(t *testing.T) {
 	c := New(Options{Growth: 2, PointerDensity: DefaultPointerDensity})
 	keys := prefillGCOLA(t, c, 1<<13)
@@ -41,10 +42,13 @@ func TestSearchAllocsSteadyState(t *testing.T) {
 	if la == 0 {
 		t.Fatal("precondition: no lookahead pointers present; the test would exercise the wrong path")
 	}
+	if indexedRAMLevels(c) == 0 {
+		t.Fatal("precondition: no indexed RAM level; the test would exercise the wrong path")
+	}
 
 	i := 0
 	avg := testing.AllocsPerRun(1000, func() {
-		c.Search(keys[i%len(keys)])
+		c.Search(keys[i%len(keys)] + uint64(i&1))
 		i++
 	})
 	if avg != 0 {

@@ -60,7 +60,8 @@ type entry struct {
 // i - start, so the right-justified geometry, the DAM offsets, and
 // every charge stay identical while only the occupied cells hit disk.
 // ext is nil while a spilled level is empty (no file); idx is the
-// image's derived in-RAM index (see chunkIndex). GCOLA.cellAt reads
+// derived in-RAM index of an unaccounted structure's spilled and large
+// RAM levels (see chunkIndex). GCOLA.cellAt reads
 // one cell from either home; the read path does not go through it for a
 // RAM level — Search has a kernel per home (searchLevel over data itself,
 // searchLevelSpilled over a copied window) and Range reads data directly.
@@ -75,7 +76,7 @@ type level struct {
 	start int           // first occupied cell; cells when empty
 	real  int           // occupied real+tombstone cells (excludes lookahead entries)
 	la    int           // occupied lookahead cells
-	idx   chunkIndex    // spilled and unaccounted: fences and filters of the image
+	idx   chunkIndex    // unaccounted only: fences and filters of the occupied cells
 }
 
 func (lv *level) used() int   { return lv.cells - lv.start }
@@ -616,7 +617,8 @@ func (c *GCOLA) installLevel(l int, out []entry) {
 // array and bound counts every one, so the output could only reach a
 // cell not yet read by writing more newer cells than there are — and a
 // step is handed nothing from above but cells that are written (see
-// push). On disk see writeSpilledLevel.
+// push). A RAM level's index is rebuilt from the written cells
+// (indexRAMLevel); on disk see writeSpilledLevel.
 //
 //repro:charges caller:mergeLevels charges the target write, installLevel's callers theirs
 func (c *GCOLA) writeLevel(l, bound int, drop uint8) int {
@@ -627,7 +629,8 @@ func (c *GCOLA) writeLevel(l, bound int, drop uint8) int {
 	last := c.scratch.lastStep(drop)
 	st := &c.scratch.steps[last]
 	n := 0
-	if !c.spilledLevel(l) {
+	ram := !c.spilledLevel(l)
+	if ram {
 		from := lv.cells - bound
 		st.buf = lv.data[from:]
 		c.scratch.refill(last)
@@ -640,6 +643,9 @@ func (c *GCOLA) writeLevel(l, bound int, drop uint8) int {
 	lv.start = lv.cells - n
 	lv.la = st.la
 	lv.real = n - lv.la
+	if ram {
+		c.indexRAMLevel(lv)
+	}
 	c.n -= c.scratch.release()
 	return n
 }

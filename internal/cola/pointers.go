@@ -118,16 +118,19 @@ func (c *GCOLA) checkInvariants() {
 			if lv.ext != nil && lv.ext.Cells() != lv.used() {
 				panic("cola: spilled image size does not match occupancy")
 			}
-			if c.opt.Space != nil && lv.idx.fences != nil {
-				panic("cola: accounted structure keeps a spill index")
-			}
 		} else {
-			if lv.ext != nil || lv.idx.fences != nil {
-				panic("cola: RAM level holds a spill image or index")
+			if lv.ext != nil {
+				panic("cola: RAM level holds a spill image")
 			}
 			if len(lv.data) != lv.cells {
 				panic("cola: RAM level storage does not match capacity")
 			}
+			if want := c.opt.Space == nil && lv.real > 0 && lv.used() >= ramIndexMinCells; lv.idx.valid != want {
+				panic(fmt.Sprintf("cola: RAM level %d index valid = %v with %d real of %d cells", l, lv.idx.valid, lv.real, lv.used()))
+			}
+		}
+		if c.opt.Space != nil && lv.idx.fences != nil {
+			panic("cola: accounted structure keeps an index")
 		}
 		real := 0
 		lastLA := int32(-1)
@@ -143,10 +146,10 @@ func (c *GCOLA) checkInvariants() {
 			if ix := &lv.idx; ix.valid {
 				j := i - lv.start
 				if j%spillChunkCells == 0 && ix.fences[j/spillChunkCells] != e.key {
-					panic("cola: spill index fence is not its chunk's first key")
+					panic("cola: index fence is not its chunk's first key")
 				}
 				if e.kind != kindLookahead && !ix.blooms[j/spillChunkCells].has(e.key) {
-					panic("cola: spill index filter misses a key of its chunk")
+					panic("cola: index filter misses a key of its chunk")
 				}
 			}
 			switch e.kind {

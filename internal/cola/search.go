@@ -52,7 +52,9 @@ func (c *GCOLA) lowerBound(l, lo, hi int, target uint64) int {
 // is bounded by the pointers bracketing the key's position in level l
 // (Lemma 20); when a level has no pointers (tiny levels, p = 0, or a gap
 // of empty levels) the whole level is binary searched, which is the
-// "basic COLA" fallback.
+// "basic COLA" fallback. An unaccounted structure also skips the levels
+// that cannot hold the key, and searches an indexed one inside the chunk
+// its fences name (see chunkIndex).
 //
 // Search mutates nothing but the atomic search counter and the DAM
 // charge stream, so bracketed concurrent searches are safe (the
@@ -66,11 +68,26 @@ func (c *GCOLA) Search(key uint64) (uint64, bool) {
 	if c.ext != nil && c.opt.SpillDepth < ram {
 		ram = c.opt.SpillDepth
 	}
+	// An unaccounted structure skips what cannot hold the key: a level
+	// with no real cell, whose lookahead cells only narrow the next
+	// level's window, and a level whose index rules the key out; an
+	// indexed level it does search is narrowed to one chunk first. The
+	// level after a skip is entered with an unknown window. An accounted
+	// structure builds no index and visits every occupied level.
+	skipPointerOnly := c.opt.Space == nil
 	lo, hi := -1, -1 // window into the upcoming level; -1 means unknown
 	for l := 0; l < ram; l++ {
-		if c.levels[l].empty() {
+		lv := &c.levels[l]
+		if lv.empty() || skipPointerOnly && lv.real == 0 {
 			lo, hi = -1, -1
 			continue
+		}
+		if lv.idx.valid {
+			var maybe bool
+			if lo, hi, maybe = lv.idx.window(lv, key, lo, hi); !maybe {
+				lo, hi = -1, -1
+				continue
+			}
 		}
 		val, state, nlo, nhi := c.searchLevel(l, key, lo, hi)
 		switch state {

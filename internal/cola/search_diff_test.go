@@ -289,11 +289,32 @@ func indexedTwin(t testing.TB, sc searchCase) *GCOLA {
 	return c
 }
 
+// ramTwin builds the case once more as the in-RAM structure whose
+// searches skip levels: unaccounted, so its large levels carry an index
+// and its pointer-only levels are passed over.
+func ramTwin(sc searchCase) *GCOLA {
+	c := New(Options{Growth: sc.growth, PointerDensity: sc.density})
+	sc.apply(c)
+	c.checkInvariants() // the index, too
+	return c
+}
+
+// indexedRAMLevels counts c's RAM levels that carry a valid index.
+func indexedRAMLevels(c *GCOLA) (n int) {
+	for l := range c.levels {
+		if lv := &c.levels[l]; lv.ext == nil && lv.idx.valid {
+			n++
+		}
+	}
+	return n
+}
+
 // runSearchCase holds the kernel's structure to the reference's: every
 // Search, every searchLevel over generated windows and every Range must
 // return the same and leave the stores charged the same. The indexed
-// spilled twin must answer every probe as the reference does. It returns
-// the kernel's structure and the probes with their answers.
+// twins, spilled and in RAM, must answer every probe as the reference
+// does. It returns the kernel's structure and the probes with their
+// answers.
 func runSearchCase(t testing.TB, sc searchCase) (*GCOLA, []uint64, []searchAnswer) {
 	t.Helper()
 	kern, ref, kernStore, refStore := searchTwins(sc)
@@ -303,6 +324,7 @@ func runSearchCase(t testing.TB, sc searchCase) (*GCOLA, []uint64, []searchAnswe
 	}
 	indexed := indexedTwin(t, sc)
 	defer indexed.Close()
+	inRAM := ramTwin(sc)
 
 	seen := map[uint64]bool{0: true, ^uint64(0): true}
 	probes := []uint64{0, ^uint64(0)}
@@ -328,6 +350,9 @@ func runSearchCase(t testing.TB, sc searchCase) (*GCOLA, []uint64, []searchAnswe
 		}
 		if iv, iok := indexed.Search(k); iv != rv || iok != rok {
 			t.Fatalf("indexed spilled Search(%d) = (%d, %v), the reference (%d, %v)", k, iv, iok, rv, rok)
+		}
+		if iv, iok := inRAM.Search(k); iv != rv || iok != rok {
+			t.Fatalf("indexed RAM Search(%d) = (%d, %v), the reference (%d, %v)", k, iv, iok, rv, rok)
 		}
 		answers[i] = searchAnswer{kv, kok}
 	}
@@ -356,36 +381,46 @@ func runSearchCase(t testing.TB, sc searchCase) (*GCOLA, []uint64, []searchAnswe
 	}
 
 	// The index's narrowing must leave a level search as it was. At every
-	// chunk boundary of the indexed twin's levels, for the keys either side
+	// chunk boundary of the indexed twins' levels, for the keys either side
 	// of it and their neighbours: a level the index skips holds no real or
 	// tombstone cell for the key, and one it narrows returns what the
-	// kernel returns over the whole level — answer and next window.
+	// kernel returns over the whole level — answer and next window. Each
+	// level is searched with the kernel of its home.
 	var w spillWindow
-	for l := range indexed.levels {
-		ilv := &indexed.levels[l]
-		if !ilv.idx.valid {
-			continue
-		}
-		cells := levelCells(indexed, l)
-		for j := 0; j < len(cells); j += spillChunkCells {
-			keys := []uint64{cells[j].key - 1, cells[j].key, cells[j].key + 1}
-			if j > 0 {
-				keys = append(keys, cells[j-1].key)
+	for _, twin := range []*GCOLA{indexed, inRAM} {
+		for l := range twin.levels {
+			ilv := &twin.levels[l]
+			if !ilv.idx.valid {
+				continue
 			}
-			for _, key := range keys {
-				kv, ks, klo, khi := kern.searchLevel(l, key, -1, -1)
-				ref.refSearchLevel(l, key, -1, -1) // keeps the twin stores level
-				lo, hi, maybe := ilv.idx.window(ilv, key, -1, -1)
-				if !maybe {
-					if ks != notFound {
-						t.Fatalf("level %d key %d: the index skips a level that holds the key", l, key)
-					}
-					continue
+			cells := levelCells(twin, l)
+			for j := 0; j < len(cells); j += spillChunkCells {
+				keys := []uint64{cells[j].key - 1, cells[j].key, cells[j].key + 1}
+				if j > 0 {
+					keys = append(keys, cells[j-1].key)
 				}
-				iv, is, ilo, ihi := indexed.searchLevelSpilled(&w, l, key, lo, hi)
-				if iv != kv || is != ks || ilo != klo || ihi != khi {
-					t.Fatalf("level %d key %d narrowed to [%d, %d): (%d, %d, [%d, %d)), the whole level (%d, %d, [%d, %d))",
-						l, key, lo, hi, iv, is, ilo, ihi, kv, ks, klo, khi)
+				for _, key := range keys {
+					kv, ks, klo, khi := kern.searchLevel(l, key, -1, -1)
+					ref.refSearchLevel(l, key, -1, -1) // keeps the twin stores level
+					lo, hi, maybe := ilv.idx.window(ilv, key, -1, -1)
+					if !maybe {
+						if ks != notFound {
+							t.Fatalf("level %d key %d: the index skips a level that holds the key", l, key)
+						}
+						continue
+					}
+					var iv uint64
+					var is searchState
+					var ilo, ihi int
+					if ilv.ext != nil {
+						iv, is, ilo, ihi = twin.searchLevelSpilled(&w, l, key, lo, hi)
+					} else {
+						iv, is, ilo, ihi = twin.searchLevel(l, key, lo, hi)
+					}
+					if iv != kv || is != ks || ilo != klo || ihi != khi {
+						t.Fatalf("level %d key %d narrowed to [%d, %d): (%d, %d, [%d, %d)), the whole level (%d, %d, [%d, %d))",
+							l, key, lo, hi, iv, is, ilo, ihi, kv, ks, klo, khi)
+					}
 				}
 			}
 		}
@@ -590,6 +625,21 @@ func TestSearchTableReachesIndexEdges(t *testing.T) {
 		c.Close()
 		if tc.straddle && straddles == 0 || !tc.straddle && tombstones == 0 {
 			t.Errorf("%q: %d straddling equal-key runs, %d tombstones behind a lookahead cell", tc.shape, straddles, tombstones)
+		}
+	}
+}
+
+// TestSearchTableReachesIndexedRAMLevels makes sure that the table's
+// large shapes, built as the in-RAM twin at g = 2, carry an indexed RAM
+// level at every pointer density, so that TestSearchMatchesReference
+// holds the searches that skip RAM levels to the reference.
+func TestSearchTableReachesIndexedRAMLevels(t *testing.T) {
+	table := searchTable()
+	for _, shape := range []string{"ladder", "compacted"} {
+		for _, density := range searchDensities {
+			if n := indexedRAMLevels(ramTwin(searchCase{growth: 2, density: density, ops: table[shape]})); n == 0 {
+				t.Errorf("%q at p = %g: no indexed RAM level", shape, density)
+			}
 		}
 	}
 }

@@ -335,7 +335,10 @@ func (c *GCOLA) ReadFrom(r io.Reader) (int64, error) {
 	// Spilled levels decode straight into chunk images without ever
 	// materializing in RAM; on any failure the deferred cleanup aborts
 	// the in-flight writer and removes every image committed so far, so
-	// a failed ReadFrom leaves no spill files behind either.
+	// a failed ReadFrom leaves no spill files behind either. An
+	// unaccounted structure's indexes are derived on the way — a spilled
+	// level's in the encode loop, a large RAM level's from its decoded
+	// cells — as the writes they replace would have built them.
 	var (
 		pendingWriter *extmem.LevelWriter
 		committedIDs  []int
@@ -453,6 +456,9 @@ func (c *GCOLA) ReadFrom(r io.Reader) (int64, error) {
 			committedIDs = append(committedIDs, l)
 			lv.ext = img
 			ix.commit()
+		}
+		if !spilled {
+			c.indexRAMLevel(&lv)
 		}
 		totalReal += lv.real
 		var off int64

@@ -355,28 +355,38 @@ func (c *GCOLA) writeSpilledLevel(l, last int) int {
 	return n
 }
 
-// chunkIndex is a spilled level's derived in-RAM index: for every chunk
-// of its image, the chunk's first key (its fence) and a Bloom block over
-// the chunk's real and tombstone keys — lookahead cells are left out, as
-// they are never an answer. That is 136 bytes a chunk, 3.3% of the
-// bytes it describes, allocated once per level at the level's capacity
-// and rewritten with every image.
+// chunkIndex is a level's derived in-RAM index: for every chunk of its
+// occupied cells — spillChunkCells of them, a 4 KiB chunk of a spilled
+// image, counted from the level's first occupied cell in either home —
+// the chunk's first key (its fence) and a Bloom block over the chunk's
+// real and tombstone keys; lookahead cells are left out, as they are
+// never an answer. That is 136 bytes a chunk, 3.3% of the bytes it
+// describes, allocated once per level at the level's capacity on the
+// level's first indexed write and rewritten with every write after it.
 //
 // Only an unaccounted structure (Options.Space == nil) keeps one. A
 // level the index lets a search skip is a level it does not read, and
-// so does not charge: the DAM stream would stop being the in-RAM
-// structure's. The index is built in the loop that encodes an image's
-// cells (writeSpilledLevel, ReadFrom), is never persisted, and is valid
-// only from the image's commit on: a rewrite that fails half-way leaves
-// the level's old image under an index that no longer describes it, and
-// searches read that level in full until its next image.
+// so does not charge: the DAM stream would stop being the paper's. Every
+// spilled level gets one, built in the loop that encodes an image's cells
+// (writeSpilledLevel, ReadFrom), and valid only from the image's commit
+// on: a rewrite that fails half-way leaves the level's old image under an
+// index that no longer describes it, and searches read that level in
+// full until its next image. A RAM level gets one when it holds a real
+// cell among at least ramIndexMinCells (indexRAMLevel). The index is
+// never persisted.
 type chunkIndex struct {
 	fences []uint64     // first key of each chunk
 	blooms []chunkBloom // real and tombstone keys of each chunk
-	valid  bool         // the index describes the level's image
+	valid  bool         // the index describes the level's cells
 }
 
-// startIndex readies level lv's index for an image about to be written,
+// ramIndexMinCells is the smallest occupancy of a RAM level that is
+// indexed: eight chunks. Below it a level's binary search is a few
+// cache lines the index would not save, and building one on every merge
+// into the small levels costs inserts more than it saves searches.
+const ramIndexMinCells = 8 * spillChunkCells
+
+// startIndex readies level lv's index for cells about to be written,
 // allocating it on first use; nil for an accounted structure, which
 // keeps none. commit is a no-op on nil; callers test for nil before add,
 // which stays small enough to inline into their encode loops that way.
@@ -392,6 +402,37 @@ func (c *GCOLA) startIndex(lv *level) *chunkIndex {
 	}
 	ix.valid = false
 	return ix
+}
+
+// indexRAMLevel rebuilds the index of RAM level lv from its occupied
+// cells, after every write of them: a level of an unaccounted structure
+// that holds a real cell among at least ramIndexMinCells gets one; any
+// other level's is invalid, and a search reads it in full (or, holding
+// no real cell, skips it).
+//
+//repro:allow damcharge the index is derived state of an unaccounted structure, which has no DAM stream to charge; an accounted one returns before the read
+func (c *GCOLA) indexRAMLevel(lv *level) {
+	lv.idx.valid = false
+	if c.opt.Space != nil || lv.real == 0 || lv.used() < ramIndexMinCells {
+		return
+	}
+	ix := c.startIndex(lv)
+	cells := lv.data[lv.start:]
+	for ch := 0; len(cells) > 0; ch++ {
+		k := min(len(cells), spillChunkCells)
+		ix.fences[ch] = cells[0].key
+		b := &ix.blooms[ch]
+		*b = chunkBloom{}
+		for i := range cells[:k] {
+			// A lookahead cell adds no bit: no branch on a kind that
+			// follows no pattern the predictor could learn.
+			w, m := bloomSlot(cells[i].key)
+			keep := uint64(^dropLookahead>>cells[i].kind) & 1
+			b[w] |= m & -keep
+		}
+		cells = cells[k:]
+	}
+	ix.valid = true
 }
 
 // add records file cell j of the image being written — cells arrive in
@@ -414,7 +455,7 @@ func (ix *chunkIndex) commit() {
 	}
 }
 
-// window narrows a search of the occupied spilled level lv for key. The
+// window narrows a search of the occupied, indexed level lv for key. The
 // key's equal-key run starts in the last chunk whose fence is below the
 // key (or at the level's first cell) and can reach every chunk whose
 // fence equals it; when none of those chunks' Bloom blocks admits the
@@ -464,35 +505,42 @@ func (ix *chunkIndex) window(lv *level, key uint64, lo, hi int) (int, int, bool)
 }
 
 // chunkBloom is one chunk's Bloom block: 1024 bits for at most
-// spillChunkCells keys, eight bits a key. A key sets bloomProbes bits,
-// each at ten bits of one 64-bit hash, which at a full chunk admits
-// about 2.4% of the keys it does not hold.
+// spillChunkCells keys, eight bits a key, register-blocked (Putze,
+// Sanders & Singler, WEA 2007): a key sets four bits of one of the
+// block's sixteen 64-bit words, so adding it is one load and one store,
+// and testing it one load, where four bits spread over the whole block
+// take four of each. The price is the rate at which a full chunk admits
+// keys it does not hold: about 3.3% for uniform keys where the spread
+// bits admit 2.4% (TestChunkBloomFalsePositives pins the rates).
 type chunkBloom [16]uint64
 
-// bloomProbes is how many bits of a chunkBloom one key sets.
-const bloomProbes = 4
-
-// bloomHash mixes a key into the bits the probes are cut from.
+// bloomHash mixes a key into the bits a chunkBloom takes from it:
+// splitmix64's finaliser, so that every bit depends on every bit of the
+// key. A single multiply is not enough once the word comes from the same
+// bits as the probes: keys that share structure — multiples of a power
+// of two, or the keys one shard holds when a shard.Map routes by the
+// top bits of the same Fibonacci multiply — would crowd into a few
+// words (TestChunkBloomFalsePositives).
 func bloomHash(key uint64) uint64 {
-	h := key * 0x9E3779B97F4A7C15
-	return h ^ h>>32
+	z := (key ^ key>>30) * 0xBF58476D1CE4E5B9
+	z = (z ^ z>>27) * 0x94D049BB133111EB
+	return z ^ z>>31
+}
+
+// bloomSlot is the word of a chunkBloom that holds key's bits, and the
+// four bits: the word is the hash's top four bits, each bit position
+// six bits from its bottom.
+func bloomSlot(key uint64) (word, mask uint64) {
+	h := bloomHash(key)
+	return h >> 60, 1<<(h&63) | 1<<(h>>6&63) | 1<<(h>>12&63) | 1<<(h>>18&63)
 }
 
 func (b *chunkBloom) add(key uint64) {
-	h := bloomHash(key)
-	for range bloomProbes {
-		b[h>>6&15] |= 1 << (h & 63)
-		h >>= 10
-	}
+	w, m := bloomSlot(key)
+	b[w] |= m
 }
 
 func (b *chunkBloom) has(key uint64) bool {
-	h := bloomHash(key)
-	for range bloomProbes {
-		if b[h>>6&15]&(1<<(h&63)) == 0 {
-			return false
-		}
-		h >>= 10
-	}
-	return true
+	w, m := bloomSlot(key)
+	return b[w]&m == m
 }

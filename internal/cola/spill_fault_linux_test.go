@@ -3,6 +3,7 @@ package cola
 import (
 	"fmt"
 	"os"
+	"os/exec"
 	"os/signal"
 	"path/filepath"
 	"strings"
@@ -63,12 +64,25 @@ func requireMergeUndone(t *testing.T, c *GCOLA, shape []levelShape, keys []uint6
 	}
 }
 
+// rlimitChildEnv selects TestSpilledMergeWriteFailure's mid-run case
+// in a re-executed test binary, and rlimitChildDone is the line that
+// child prints once every check of the case has passed.
+const (
+	rlimitChildEnv  = "COLA_TEST_RLIMIT_CHILD"
+	rlimitChildDone = "rlimit child: every check ran"
+)
+
 // TestSpilledMergeWriteFailure makes the level image's file fail in the
 // middle of a run — the process's file size limit is lowered to 300 KiB
 // for the one insert whose cascade writes a 560 KiB level — and, in a
 // second structure, makes it impossible to create at all. Either way the
 // insert panics with the spill path's message, the half-written image is
 // gone, and the levels are the ones from before.
+//
+// The limit holds for every file the process writes, go test's own log
+// of the run included, so the mid-run case runs in a re-executed test
+// binary that writes no such log: the parent fails unless that child
+// exits cleanly and says it ran the case to its end.
 func TestSpilledMergeWriteFailure(t *testing.T) {
 	fill := func(c *GCOLA) (keys []uint64) {
 		seq := workload.NewRandomUnique(29)
@@ -81,18 +95,27 @@ func TestSpilledMergeWriteFailure(t *testing.T) {
 	}
 
 	t.Run("mid-run", func(t *testing.T) {
+		if os.Getenv(rlimitChildEnv) == "" {
+			cmd := exec.Command(os.Args[0], "-test.run=^TestSpilledMergeWriteFailure$/^mid-run$", "-test.count=1")
+			cmd.Env = append(os.Environ(), rlimitChildEnv+"=1")
+			out, err := cmd.CombinedOutput()
+			if err != nil || !strings.Contains(string(out), rlimitChildDone) {
+				t.Fatalf("the rlimit child failed (%v):\n%s", err, out)
+			}
+			return
+		}
 		c := openSpilled(t, Options{Growth: 2, PointerDensity: DefaultPointerDensity})
 		keys := fill(c)
 		shape := levelShapes(c)
 
 		var old syscall.Rlimit
 		if err := syscall.Getrlimit(syscall.RLIMIT_FSIZE, &old); err != nil {
-			t.Skipf("getrlimit: %v", err)
+			t.Fatalf("getrlimit: %v", err)
 		}
 		signal.Ignore(syscall.SIGXFSZ) // a write past the limit then fails with EFBIG instead of killing the process
 		defer signal.Reset(syscall.SIGXFSZ)
 		if err := syscall.Setrlimit(syscall.RLIMIT_FSIZE, &syscall.Rlimit{Cur: 300 << 10, Max: old.Max}); err != nil {
-			t.Skipf("setrlimit: %v", err)
+			t.Fatalf("setrlimit: %v", err)
 		}
 		msg := mustPanic(t, func() {
 			defer syscall.Setrlimit(syscall.RLIMIT_FSIZE, &old) //nolint:errcheck // raising the soft limit back to where it was
@@ -102,6 +125,7 @@ func TestSpilledMergeWriteFailure(t *testing.T) {
 			t.Fatalf("panic %q", msg)
 		}
 		requireMergeUndone(t, c, shape, keys)
+		fmt.Println(rlimitChildDone)
 	})
 
 	t.Run("create", func(t *testing.T) {

@@ -374,7 +374,7 @@ func TestSpillBulkLoad(t *testing.T) {
 
 // TestSpillSnapshotRoundTrip checks that snapshot bytes do not depend on
 // where levels live and that a snapshot loads correctly into either
-// home: RAM->spilled, spilled->RAM, spilled->spilled.
+// home, indexes included: RAM->spilled, spilled->RAM, spilled->spilled.
 func TestSpillSnapshotRoundTrip(t *testing.T) {
 	ram := New(Options{Growth: 2, PointerDensity: DefaultPointerDensity})
 	sp := openSpilled(t, Options{Growth: 2, PointerDensity: DefaultPointerDensity})
@@ -414,6 +414,11 @@ func TestSpillSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("spilled->RAM ReadFrom: %v", err)
 	}
 	check("spilled->RAM", intoRAM)
+	// ReadFrom indexes the large RAM levels as the merges that wrote them
+	// did (checkInvariants above requires it level by level).
+	if indexedRAMLevels(intoRAM) == 0 || indexedRAMLevels(intoRAM) != indexedRAMLevels(ram) {
+		t.Fatalf("spilled->RAM: %d indexed RAM levels, the saved structure %d", indexedRAMLevels(intoRAM), indexedRAMLevels(ram))
+	}
 
 	intoSpill := openSpilled(t, Options{Growth: 2, PointerDensity: DefaultPointerDensity})
 	if _, err := intoSpill.ReadFrom(bytes.NewReader(ramBuf.Bytes())); err != nil {
@@ -694,6 +699,87 @@ func TestSpillIndexEqualKeyRunOrder(t *testing.T) {
 		}
 		if v, ok := c.Search(want.key); !ok || v != want.val {
 			t.Fatalf("Search(%d) = (%d, %v), want (%d, true)", want.key, v, ok, want.val)
+		}
+	}
+}
+
+// TestChunkBloomFalsePositives pins the rate at which one chunk's Bloom
+// block admits keys it does not hold, the number a model of the indexed
+// search's reads is built from. Blocks are filled with a full chunk's
+// 128 keys and with the 116 reals a chunk holds beside the paper's
+// density of lookahead cells, and each is probed with as many further
+// keys of its set. The sets: uniform keys; dense sequential keys and
+// multiples of 2^10, 2^20 and 2^32, each probed with the keys that
+// follow the block's own (those a search of the neighbouring chunk asks
+// for); and the keys one shard of a two-way and of a sixteen-way
+// shard.Map holds, which routes by the top bits of a Fibonacci multiply
+// (shard.fibMult): a filter that takes its word from those bits serves
+// such a shard from a fraction of its words. Every rate must stay under
+// the bound, a little above the 3.27–3.32% and 2.54–2.57% the block
+// measures at 128 and 116 keys; every key a block holds must be
+// admitted.
+func TestChunkBloomFalsePositives(t *testing.T) {
+	const (
+		blocks  = 8192
+		fibMult = 0x9E3779B97F4A7C15
+	)
+	bounds := []struct {
+		n     int
+		bound float64
+	}{{spillChunkCells, 0.036}, {116, 0.028}}
+	for _, tc := range []struct {
+		name   string
+		stride uint64                // 0: uniform keys
+		in     func(key uint64) bool // nil: every key of the stride
+	}{
+		{"uniform", 0, nil},
+		{"sequential", 1, nil},
+		{"multiples of 2^10", 1 << 10, nil},
+		{"multiples of 2^20", 1 << 20, nil},
+		{"multiples of 2^32", 1 << 32, nil},
+		{"one shard of two, sequential", 1, func(k uint64) bool { return k*fibMult>>63 == 0 }},
+		{"one shard of sixteen, uniform", 0, func(k uint64) bool { return k*fibMult>>60 == 3 }},
+	} {
+		for _, b := range bounds {
+			n, bound := b.n, b.bound
+			rng := workload.NewRNG(5)
+			var last uint64
+			next := func() uint64 {
+				for {
+					if tc.stride == 0 {
+						last = rng.Uint64()
+					} else {
+						last += tc.stride
+					}
+					if tc.in == nil || tc.in(last) {
+						return last
+					}
+				}
+			}
+			admitted := 0
+			held := make([]uint64, n)
+			for b := 0; b < blocks; b++ {
+				var bl chunkBloom
+				for i := range held {
+					held[i] = next()
+					bl.add(held[i])
+				}
+				for _, k := range held {
+					if !bl.has(k) {
+						t.Fatalf("%s, %d keys: a block does not admit its key %d", tc.name, n, k)
+					}
+				}
+				for range held {
+					if bl.has(next()) {
+						admitted++
+					}
+				}
+			}
+			rate := float64(admitted) / float64(blocks*n)
+			t.Logf("%s, %d keys: %.2f%% false positives", tc.name, n, 100*rate)
+			if rate > bound {
+				t.Errorf("%s, %d keys: %.2f%% false positives, want at most %.1f%%", tc.name, n, 100*rate, 100*bound)
+			}
 		}
 	}
 }
