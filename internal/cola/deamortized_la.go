@@ -400,7 +400,6 @@ func (d *DeamortizedLookahead) stepCopyPhase(k int, m *dlaMerge, budget int) int
 			e := m.out[end]
 			back.data = append(back.data, entry{
 				key:  e.key,
-				ptr:  int32(end),
 				left: int32(end),
 				kind: kindLookahead,
 			})
@@ -454,13 +453,12 @@ func (d *DeamortizedLookahead) finishMerge(k int, m *dlaMerge) {
 }
 
 // fixLeftCopiesSlice recomputes each cell's copy of the nearest lookahead
-// pointer to its left.
+// pointer to its left; a lookahead cell's slot is its own pointer.
 func fixLeftCopiesSlice(data []entry) {
 	last := int32(-1)
 	for i := range data {
 		if data[i].kind == kindLookahead {
-			last = data[i].ptr
-			data[i].left = data[i].ptr
+			last = data[i].left
 		} else {
 			data[i].left = last
 		}
@@ -615,7 +613,7 @@ func (d *DeamortizedLookahead) searchArray(k, s int, key uint64, lo, hi int) (ui
 	for i := pos; i < len(data); i++ {
 		d.chargeRead(k, s, i, 1)
 		if data[i].kind == kindLookahead {
-			nhi = int(data[i].ptr) + 1
+			nhi = int(data[i].left) + 1
 			break
 		}
 	}

@@ -36,15 +36,21 @@ const (
 	kindTombstone
 )
 
-// entry is one 32-byte array cell. The paper pads 16-byte elements to 32
-// bytes and uses 64 of the padding bits for a copy of the closest real
-// lookahead pointer to the left (field left) or, for redundant elements,
-// for the lookahead pointer itself (field ptr).
+// entry is one array cell. The paper pads 16-byte elements to 32 bytes
+// and uses 64 of the padding bits for one pointer slot: a real element
+// keeps there a copy of the closest lookahead pointer to its left, a
+// redundant (lookahead) element its own pointer. left is that slot, so a
+// RAM cell is 24 bytes; the persisted and spilled cells and every DAM
+// charge keep the paper's 32 (see DESIGN.md, "Scale adaptations and
+// divergences").
 type entry struct {
-	key  uint64
-	val  uint64
-	ptr  int32 // kindLookahead: absolute index of the sampled cell in the next level
-	left int32 // absolute index into next level of nearest lookahead at or before this cell; -1 if none
+	key uint64
+	val uint64
+	// left is the pointer slot, an absolute index into the next level.
+	// A lookahead cell's is its own pointer, to the sampled cell; any
+	// other cell's is a copy of the nearest lookahead pointer at or
+	// before it, -1 if none.
+	left int32
 	kind uint8
 }
 

@@ -2,6 +2,7 @@ package cola
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/dam"
@@ -440,5 +441,14 @@ func TestCompactSingleLevel(t *testing.T) {
 	}
 	if c.Len() != n {
 		t.Fatalf("Len after Compact = %d, want %d", c.Len(), n)
+	}
+}
+
+// TestEntryIs24Bytes pins the RAM cell layout: one pointer slot, no
+// padding. A field that re-pads the cell costs every RAM level a third
+// more memory and merge bandwidth.
+func TestEntryIs24Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(entry{}); got != 24 {
+		t.Fatalf("entry is %d bytes, want 24: see DESIGN.md, \"Scale adaptations and divergences\", on the 24-byte RAM cell", got)
 	}
 }

@@ -19,7 +19,7 @@ import (
 // decoded a slab at a time; nothing else distinguishes the two homes.
 
 // mergeSlabCells is the size of a step's output slab and of a spilled
-// run's decode slab: 8 KiB, so a deep ladder's slabs stay cache-resident
+// run's decode slab: 6 KiB, so a deep ladder's slabs stay cache-resident
 // while a kernel call still runs for hundreds of cells.
 const mergeSlabCells = 256
 
@@ -52,7 +52,7 @@ type mergeStep struct {
 // kernel calls: each cell's copy of the closest lookahead pointer at or
 // to its left, the lookahead count, the live-count correction.
 type mergeOut struct {
-	last int32 // ptr of the last lookahead cell written; -1 before the first
+	last int32 // pointer of the last lookahead cell written; -1 before the first
 	la   int   // lookahead cells written
 	dups int   // older real copies dropped under a newer real one
 }
@@ -67,7 +67,7 @@ func (o *mergeOut) put(q, p *entry, drop uint) int {
 	keep := int(^drop >> (kind & 7) & 1)
 	isLA := int(kind) & int(kindLookahead) & keep
 	m := int32(-isLA)
-	o.last = o.last&^m | p.ptr&m
+	o.last = o.last&^m | p.left&m
 	o.la += isLA
 	*q = *p
 	q.left = o.last

@@ -100,8 +100,7 @@ func refInstall(out []entry) refLevel {
 	for i := range lv.cells {
 		e := &lv.cells[i]
 		if e.kind == kindLookahead {
-			last = e.ptr
-			e.left = e.ptr
+			last = e.left
 			lv.la++
 		} else {
 			lv.real++
@@ -315,7 +314,7 @@ func cells(tag uint64, spec ...uint64) []entry {
 		case kindReal:
 			e.val = key<<8 | tag
 		case kindLookahead:
-			e.ptr, e.left = int32(key), int32(key)
+			e.left = int32(key)
 		}
 		out = append(out, e)
 	}
@@ -468,7 +467,7 @@ func decodeMergeCase(data []byte) (mergeCase, bool) {
 					continue
 				}
 				las--
-				run = append(run, entry{key: key, ptr: int32(key), left: int32(key), kind: kind})
+				run = append(run, entry{key: key, left: int32(key), kind: kind})
 				lastReal = false
 				continue
 			}

@@ -67,7 +67,6 @@ func (c *GCOLA) distributePointers(t int) {
 			}
 			out = append(out, entry{
 				key:  key,
-				ptr:  int32(i),
 				left: int32(i),
 				kind: kindLookahead,
 			})
@@ -158,19 +157,16 @@ func (c *GCOLA) checkInvariants() {
 					panic("cola: lookahead entry with no next level")
 				}
 				next := &c.levels[l+1]
-				if int(e.ptr) < next.start || int(e.ptr) >= next.cells {
+				if int(e.left) < next.start || int(e.left) >= next.cells {
 					panic("cola: lookahead pointer out of next level's occupied range")
 				}
-				if c.cellAt(l+1, int(e.ptr)).key != e.key {
+				if c.cellAt(l+1, int(e.left)).key != e.key {
 					panic("cola: lookahead key does not match target cell")
 				}
-				if e.ptr < lastLA {
+				if e.left < lastLA {
 					panic("cola: lookahead pointers not monotone")
 				}
-				if e.left != e.ptr {
-					panic("cola: lookahead left copy must be its own pointer")
-				}
-				lastLA = e.ptr
+				lastLA = e.left
 			case kindReal, kindTombstone:
 				real++
 				if e.left != lastLA {

@@ -214,7 +214,7 @@ func (c *GCOLA) searchLevel(l int, key uint64, lo, hi int) (uint64, searchState,
 	for i := pos; i < len(data); i++ {
 		scanned++
 		if e := &data[i]; e.kind == kindLookahead {
-			nhi = int(e.ptr) + 1
+			nhi = int(e.left) + 1
 			break
 		}
 	}

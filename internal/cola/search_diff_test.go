@@ -121,7 +121,7 @@ func (c *GCOLA) refSearchLevel(l int, key uint64, lo, hi int) (uint64, searchSta
 	for i := pos; i < lv.cells; i++ {
 		scanned++
 		if e := c.cellAt(l, i); e.kind == kindLookahead {
-			nhi = int(e.ptr) + 1
+			nhi = int(e.left) + 1
 			break
 		}
 	}

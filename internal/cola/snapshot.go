@@ -17,11 +17,15 @@ import (
 //	magic "COLA" | version u32 | growth u32 | density f64-bits u64 |
 //	n i64 | levelCount u32 |
 //	per level: start u32 | used u32 | used cells (key u64 | val u64 |
-//	            ptr i32 | left i32 | kind u8)
+//	            slot i32 | left i32 | kind u8)
 //
-// Lookahead entries are persisted verbatim, so a restored structure has
-// identical layout, occupancy, and search behaviour — including
-// transfer-count behaviour under the same DAM store parameters. This is
+// slot is a pointer field the RAM cell does not have, kept so version 1
+// streams keep their layout. It is derived — a lookahead cell's pointer
+// (equal to its left), 0 for any other cell — and the decoder rejects a
+// stream where it is not. Lookahead entries are persisted verbatim, so a
+// restored structure has identical layout, occupancy, and search
+// behaviour — including transfer-count behaviour under the same DAM
+// store parameters. This is
 // the repository's one physical codec; see internal/core/snapshot.go
 // for the physical/logical distinction.
 const (
@@ -65,23 +69,45 @@ const (
 // putEntry packs e into b[:entryBytes], the persisted cell layout.
 func putEntry(b []byte, e entry) {
 	_ = b[entryBytes-1]
+	var slot int32
+	if e.kind == kindLookahead {
+		slot = e.left
+	}
 	binary.LittleEndian.PutUint64(b[0:8], e.key)
 	binary.LittleEndian.PutUint64(b[8:16], e.val)
-	binary.LittleEndian.PutUint32(b[16:20], uint32(e.ptr))
+	binary.LittleEndian.PutUint32(b[16:20], uint32(slot))
 	binary.LittleEndian.PutUint32(b[20:24], uint32(e.left))
 	b[24] = e.kind
 }
 
-// getEntry unpacks b[:entryBytes].
+// getEntry unpacks b[:entryBytes]. It skips the slot, which is derived;
+// only ReadFrom reads it, to check it.
 func getEntry(b []byte) entry {
 	_ = b[entryBytes-1]
 	return entry{
 		key:  binary.LittleEndian.Uint64(b[0:8]),
 		val:  binary.LittleEndian.Uint64(b[8:16]),
-		ptr:  int32(binary.LittleEndian.Uint32(b[16:20])),
 		left: int32(binary.LittleEndian.Uint32(b[20:24])),
 		kind: b[24],
 	}
+}
+
+// laTarget is one decoded lookahead cell: its pointer into the next
+// level and the key the cell there must hold.
+type laTarget struct {
+	ptr int32
+	key uint64
+}
+
+// badTarget reports lookahead target t of level l-1, which met level l
+// at cell i holding key (i past the level's last cell: not at all).
+func badTarget(l int, t laTarget, i int, key uint64) error {
+	if int(t.ptr) < i {
+		return fmt.Errorf("cola: level %d lookahead pointer %d outside level %d's occupied cells: %w",
+			l-1, t.ptr, l, ErrCorrupt)
+	}
+	return fmt.Errorf("cola: level %d lookahead pointer %d lands on key %d, not its own %d: %w",
+		l-1, t.ptr, key, t.key, ErrCorrupt)
 }
 
 // slabCells is how many cells the codec packs or parses between calls
@@ -269,8 +295,13 @@ func (s *slabReader) truncated() error {
 // bytes from r, a slab of cells at a time.
 //
 // Decoding is defensive: magic, version, level occupancy, entry kinds,
-// per-level key order, and lookahead pointer targets are all validated,
-// failures are wrapped ErrBadMagic / ErrBadVersion / ErrCorrupt (or a
+// per-level key order and real count, and the pointer slots are all
+// validated — a lookahead pointer must be non-decreasing, equal its left
+// copy and land on a cell of the next level that holds its key; any
+// other cell's left copy must be the running pointer and its slot zero.
+// A level's targets are checked once the next level has been read whole,
+// so damage in that level is reported ahead of them. Failures are
+// wrapped ErrBadMagic / ErrBadVersion / ErrCorrupt (or a
 // plain configuration-mismatch error for a snapshot of a differently
 // parameterized structure), and the receiver is mutated only after the
 // entire stream has decoded — a failed ReadFrom leaves it empty and
@@ -358,6 +389,9 @@ func (c *GCOLA) ReadFrom(r io.Reader) (int64, error) {
 	levels := make([]level, 0, levelCount)
 	offsets := make([]int64, 0, levelCount)
 	totalReal := 0
+	// targets collects the level's lookahead cells; pending holds the
+	// previous level's, checked as this level's cells stream past.
+	var targets, pending []laTarget
 	for l := 0; l < int(levelCount); l++ {
 		start, err := sr.u32()
 		if err != nil {
@@ -401,6 +435,15 @@ func (c *GCOLA) ReadFrom(r io.Reader) (int64, error) {
 			nextCap = int32(min(c.totalCapacity(l+1), math.MaxInt32))
 		}
 		prevKey := uint64(0)
+		lastLA := int32(-1)
+		targets, pending = pending[:0], targets
+		// A RAM level's targets take one allocation, as its cells do; a
+		// spilled level's grow with the stream that must back them.
+		if n := min(c.lookaheadCapacity(l), int(used)); !spilled && cap(targets) < n {
+			targets = make([]laTarget, 0, n)
+		}
+		var targetErr error
+		pi := 0 // pending[:pi] have met their cells
 		for i := lv.start; i < lv.cells; {
 			got, rerr := sr.cells(min(slabCells, lv.cells-i))
 			wire, raw := sr.buf, slab.raw[:]
@@ -410,21 +453,45 @@ func (c *GCOLA) ReadFrom(r io.Reader) (int64, error) {
 					return sr.n, fmt.Errorf("cola: level %d not in key order at cell %d: %w", l, i, ErrCorrupt)
 				}
 				prevKey = e.key
+				if e.left < -1 || e.left >= nextCap {
+					return sr.n, fmt.Errorf("cola: level %d left pointer %d outside next level capacity %d: %w",
+						l, e.left, nextCap, ErrCorrupt)
+				}
+				slot := int32(binary.LittleEndian.Uint32(wire[16:20]))
 				switch e.kind {
 				case kindLookahead:
-					if e.ptr < 0 || e.ptr >= nextCap {
+					if slot < 0 || slot >= nextCap {
 						return sr.n, fmt.Errorf("cola: level %d lookahead pointer %d outside next level capacity %d: %w",
-							l, e.ptr, nextCap, ErrCorrupt)
+							l, slot, nextCap, ErrCorrupt)
 					}
+					if slot != e.left {
+						return sr.n, fmt.Errorf("cola: level %d lookahead pointer %d at cell %d differs from its left copy %d: %w",
+							l, slot, i, e.left, ErrCorrupt)
+					}
+					if e.left < lastLA {
+						return sr.n, fmt.Errorf("cola: level %d lookahead pointer %d at cell %d decreases from %d: %w",
+							l, e.left, i, lastLA, ErrCorrupt)
+					}
+					lastLA = e.left
+					targets = append(targets, laTarget{ptr: e.left, key: e.key})
 					lv.la++
 				case kindReal, kindTombstone:
+					if e.left != lastLA {
+						return sr.n, fmt.Errorf("cola: level %d cell %d left copy %d, last lookahead pointer %d: %w",
+							l, i, e.left, lastLA, ErrCorrupt)
+					}
+					if slot != 0 {
+						return sr.n, fmt.Errorf("cola: level %d cell %d of kind %d has pointer slot %d: %w",
+							l, i, e.kind, slot, ErrCorrupt)
+					}
 					lv.real++
 				default:
 					return sr.n, fmt.Errorf("cola: level %d entry kind %d: %w", l, e.kind, ErrCorrupt)
 				}
-				if e.left < -1 || e.left >= nextCap {
-					return sr.n, fmt.Errorf("cola: level %d left pointer %d outside next level capacity %d: %w",
-						l, e.left, nextCap, ErrCorrupt)
+				for ; pi < len(pending) && int(pending[pi].ptr) <= i; pi++ {
+					if t := pending[pi]; targetErr == nil && (int(t.ptr) < i || t.key != e.key) {
+						targetErr = badTarget(l, t, i, e.key)
+					}
 				}
 				if spilled {
 					// The disk cell is the validated wire cell plus padding.
@@ -446,6 +513,16 @@ func (c *GCOLA) ReadFrom(r io.Reader) (int64, error) {
 					return sr.n, fmt.Errorf("cola: level %d spill write during load: %w", l, err)
 				}
 			}
+		}
+		if targetErr == nil && pi < len(pending) {
+			targetErr = badTarget(l, pending[pi], lv.cells, 0)
+		}
+		if targetErr != nil {
+			return sr.n, targetErr
+		}
+		if lv.real > c.realCapacity(l) {
+			return sr.n, fmt.Errorf("cola: level %d holds %d real cells, capacity %d: %w",
+				l, lv.real, c.realCapacity(l), ErrCorrupt)
 		}
 		if pendingWriter != nil {
 			img, cerr := pendingWriter.Commit()

@@ -10,9 +10,10 @@ import (
 )
 
 // slabEdge is the codec's slab length in cells, spelled out because the
-// expected messages below depend on it: they are what the cell-at-a-time
-// codec this one replaced (commit 2bca396) reported for these inputs,
-// captured by running this table against it.
+// expected messages below depend on it: up to the forged pointer slots,
+// they are what the cell-at-a-time codec this one replaced (commit
+// 2bca396) reported for these inputs, captured by running this table
+// against it.
 const slabEdge = 4096
 
 // goldenPayload is fillGolden's snapshot.
@@ -51,9 +52,11 @@ type hostileCase struct {
 // parsing could differ from cell-at-a-time parsing: cuts inside a cell,
 // inside a slab and exactly between slabs, and bad cells in the first
 // and last position of a slab — including one ahead of a cut in the
-// same slab, which must still be reported as itself.
+// same slab, which must still be reported as itself. The last rows
+// forge pointer slots that disagree with the cells around them, each
+// in range, so only the derived-slot checks can catch them.
 func hostileSlabEdgeCases(data []byte) []hostileCase {
-	off13, _ := levelAt(data, 13)
+	off13, used13 := levelAt(data, 13)
 	off14, used14 := levelAt(data, 14)
 	cell := func(levelOff, i int) int { return levelOff + 8 + i*entryBytes }
 	cut := func(at int) func([]byte) []byte {
@@ -78,6 +81,30 @@ func hostileSlabEdgeCases(data []byte) []hostileCase {
 			return b
 		}
 	}
+	u32 := func(b []byte) int32 { return int32(binary.LittleEndian.Uint32(b)) }
+	put32 := func(b []byte, v int32) { binary.LittleEndian.PutUint32(b, uint32(v)) }
+	// find is level 13's first cell at or after i of the given kind.
+	find := func(i int, kind uint8) int {
+		for data[cell(off13, i)+24] != kind {
+			i++
+		}
+		return i
+	}
+	// repoint moves level 13's lookahead cell i to pointer p, and the
+	// left copies after it with it, so the level stays self-consistent.
+	repoint := func(i int, p int32) func([]byte) []byte {
+		return func(b []byte) []byte {
+			put32(b[cell(off13, i)+16:], p)
+			for j := i; j == i || b[cell(off13, j)+24] != kindLookahead; j++ {
+				put32(b[cell(off13, j)+20:], p)
+			}
+			return b
+		}
+	}
+	real13, la13 := find(first+10, kindReal), find(first+10, kindLookahead)
+	la13next := find(la13+1, kindLookahead)
+	ptr13 := u32(data[cell(off13, la13)+20:])
+	start14 := int32(binary.LittleEndian.Uint32(data[off14:]))
 	return []hostileCase{
 		{"cut mid-cell", cut(cell(off13, 10) + 7), "cola: snapshot truncated at byte 36744"},
 		{"cut mid-cell in the second slab", cut(cell(off13, first+100) + 24), "cola: snapshot truncated at byte 141394"},
@@ -105,6 +132,27 @@ func hostileSlabEdgeCases(data []byte) []hostileCase {
 			binary.LittleEndian.PutUint32(b[off14+4:], uint32(used14+1))
 			return b
 		}, "cola: snapshot truncated at byte 667077"},
+		{"real cell with a wrong left copy", poke(cell(off13, real13), func(c []byte) {
+			put32(c[20:24], u32(c[20:24])+40)
+		}), "cola: level 13 cell 4278 left copy 9237, last lookahead pointer 9197"},
+		{"lookahead slot differs from its left copy", poke(cell(off13, la13), func(c []byte) {
+			put32(c[16:20], u32(c[20:24])+1)
+		}), "cola: level 13 lookahead pointer 9219 at cell 4282 differs from its left copy 9218"},
+		{"nonzero slot on a real cell", poke(cell(off13, real13), func(c []byte) {
+			put32(c[16:20], u32(c[20:24]))
+		}), "cola: level 13 cell 4278 of kind 0 has pointer slot 9197"},
+		{"decreasing lookahead pointers", repoint(la13next, ptr13-1), "cola: level 13 lookahead pointer 9217 at cell 4298 decreases from 9218"},
+		{"lookahead target holds another key", repoint(la13, ptr13+1), "cola: level 13 lookahead pointer 9219 lands on key 8601086355778598235, not its own 8600638956429436403"},
+		{"lookahead target below the next level's cells", repoint(find(0, kindLookahead), start14-1), "cola: level 13 lookahead pointer 1637 outside level 14's occupied cells"},
+		{"more real cells than the level's real capacity", func(b []byte) []byte {
+			for j := range used13 {
+				c := b[cell(off13, j):]
+				c[24] &^= kindLookahead
+				put32(c[16:], 0)
+				put32(c[20:], -1)
+			}
+			return b
+		}, "cola: level 13 holds 8839 real cells, capacity 8192"},
 	}
 }
 
@@ -131,7 +179,7 @@ func TestSnapshotHostileSlabEdges(t *testing.T) {
 					t.Fatalf("got %v, want ErrCorrupt", err)
 				}
 				if got := strings.TrimSuffix(err.Error(), ": "+ErrCorrupt.Error()); got != hc.want {
-					t.Errorf("rejected with %q, the cell-at-a-time codec said %q", got, hc.want)
+					t.Errorf("rejected with %q, want %q", got, hc.want)
 				}
 				if c.Len() != 0 || len(c.levels) != 0 {
 					t.Fatalf("failed ReadFrom mutated the receiver: Len=%d levels=%d", c.Len(), len(c.levels))
@@ -150,24 +198,38 @@ func TestSnapshotHostileSlabEdges(t *testing.T) {
 }
 
 // FuzzReadFrom mutates payloads — seeded with the intact golden one and
-// every slab-edge case above — and requires ReadFrom to answer with a
-// clean load or a typed error, never a panic, and to leave a failed
-// receiver empty and usable. A payload that loads re-encodes to the
-// bytes it was read from: the format is canonical for what it accepts.
+// every slab-edge case above, each into a RAM and a spilled receiver —
+// and requires ReadFrom to answer with a clean load or a typed error,
+// never a panic, and to leave a failed receiver empty, usable and
+// without spill files. A payload that loads passes the structure's
+// invariant checker, in either home, and re-encodes to the bytes it was
+// read from: the format is canonical for what it accepts, and the
+// spilled home, which persists stream cells verbatim, holds nothing
+// the checks let through by mistake.
 func FuzzReadFrom(f *testing.F) {
 	data := goldenPayload(f)
-	f.Add(data)
+	seeds := [][]byte{data}
 	for _, hc := range hostileSlabEdgeCases(data) {
-		f.Add(hc.mutate(append([]byte(nil), data...)))
+		seeds = append(seeds, hc.mutate(append([]byte(nil), data...)))
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
+	for _, s := range seeds {
+		f.Add(s, false)
+		f.Add(s, true)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, spilled bool) {
 		// An empty level costs the stream 8 bytes and the decoder the
 		// level's whole array, which maxSnapshotLevelCells bounds by
 		// design; a fuzz worker should not spend its time zeroing them.
 		if len(data) >= headerBytes && binary.LittleEndian.Uint32(data[headerBytes-4:]) > 16 {
 			t.Skip()
 		}
-		c := New(Options{Growth: 2, PointerDensity: DefaultPointerDensity})
+		opt := Options{Growth: 2, PointerDensity: DefaultPointerDensity}
+		var c *GCOLA
+		if spilled {
+			c = openSpilled(t, opt)
+		} else {
+			c = New(opt)
+		}
 		n, err := c.ReadFrom(bytes.NewReader(data))
 		if err != nil {
 			typed := errors.Is(err, ErrBadMagic) || errors.Is(err, ErrBadVersion) || errors.Is(err, ErrCorrupt)
@@ -177,12 +239,16 @@ func FuzzReadFrom(f *testing.F) {
 			if c.Len() != 0 || len(c.levels) != 0 {
 				t.Fatalf("failed ReadFrom mutated the receiver: Len=%d levels=%d", c.Len(), len(c.levels))
 			}
+			if files, _, _ := c.SpillFileStats(); files != 0 {
+				t.Fatalf("failed ReadFrom left %d spill files behind", files)
+			}
 			c.Insert(42, 1)
 			if v, ok := c.Search(42); !ok || v != 1 {
 				t.Fatal("receiver unusable after a failed ReadFrom")
 			}
 			return
 		}
+		c.checkInvariants()
 		var buf bytes.Buffer
 		if _, err := c.WriteTo(&buf); err != nil {
 			t.Fatalf("re-encoding an accepted payload: %v", err)

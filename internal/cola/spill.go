@@ -37,7 +37,7 @@ import (
 const cellKindOffset = entryBytes - 1
 
 // encodeCell packs one entry into its 32-byte on-disk cell: the
-// snapshot codec's persisted cell (key u64, val u64, ptr u32, left u32,
+// snapshot codec's persisted cell (key u64, val u64, slot u32, left u32,
 // kind u8) then 7 bytes zero padding, at core.ElementBytes so chunk
 // geometry matches DAM block geometry. The snapshot codec relies on the
 // shared head to transcode spilled levels by copying.
@@ -283,7 +283,7 @@ func (c *GCOLA) searchLevelSpilled(w *spillWindow, l int, key uint64, lo, hi int
 	for i := pos; i < lv.cells; i++ {
 		scanned++
 		if w.kindAt(c, l, i) == kindLookahead {
-			nhi = int(w.cell(c, l, i).ptr) + 1
+			nhi = int(w.cell(c, l, i).left) + 1
 			break
 		}
 	}

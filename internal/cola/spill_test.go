@@ -172,7 +172,7 @@ func craftedTwins(t *testing.T) (ram, sp *GCOLA, ramStore, spStore *dam.Store) {
 			runs++
 		}
 		for ; runs > 0; runs-- {
-			lower = append(lower, entry{key: key, ptr: at, kind: kindLookahead})
+			lower = append(lower, entry{key: key, left: at, kind: kindLookahead})
 		}
 		switch {
 		case m == 500:
@@ -193,7 +193,7 @@ func craftedTwins(t *testing.T) (ram, sp *GCOLA, ramStore, spStore *dam.Store) {
 	start9 := ram.levels[9].cells - len(lower)
 	var top []entry
 	for at := 3; at < len(lower); at += 4 {
-		top = append(top, entry{key: lower[at].key, ptr: int32(start9 + at), kind: kindLookahead})
+		top = append(top, entry{key: lower[at].key, left: int32(start9 + at), kind: kindLookahead})
 	}
 	for m := uint64(1); len(top) < 2*spillChunkCells; m++ {
 		top = append(top, entry{key: 100*m + 25, val: 100*m + 26, kind: kindReal})
@@ -683,7 +683,7 @@ func TestSpillIndexEqualKeyRunOrder(t *testing.T) {
 	for i := uint64(0); i < spillChunkCells-1; i++ {
 		cells = append(cells, entry{key: i, val: i + 1, left: -1})
 	}
-	cells = append(cells, entry{key: k, val: k + 1, left: -1}, entry{key: k, ptr: int32(c.levels[l+1].cells - 1), left: -1, kind: kindLookahead})
+	cells = append(cells, entry{key: k, val: k + 1, left: -1}, entry{key: k, left: int32(c.levels[l+1].cells - 1), kind: kindLookahead})
 	for i := uint64(k + 1); len(cells) < 2*spillChunkCells; i++ {
 		cells = append(cells, entry{key: i, val: i + 1, left: -1})
 	}
