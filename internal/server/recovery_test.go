@@ -145,7 +145,7 @@ func TestSIGKILLRecoversAcknowledgedPrefix(t *testing.T) {
 	}
 	defer h.Close()
 	if h.Spec.Shards != 2 {
-		t.Fatalf("serve.meta lost the shard count: %d", h.Spec.Shards)
+		t.Fatalf("reopen lost the shard count: %d", h.Spec.Shards)
 	}
 	for i := 0; i < acked; i++ {
 		k := recoveryKey(i)
@@ -159,9 +159,10 @@ func TestSIGKILLRecoversAcknowledgedPrefix(t *testing.T) {
 	}
 }
 
-// TestMetaPinsComposition: reopening a WAL directory with a different
-// kind or shard count must be refused, never silently resharded.
-func TestMetaPinsComposition(t *testing.T) {
+// TestDirectoryPinsComposition: reopening a WAL directory with a
+// different kind or shard count must be refused, never silently
+// resharded.
+func TestDirectoryPinsComposition(t *testing.T) {
 	walDir := t.TempDir()
 	h, err := Open(Spec{Kind: "gcola", Shards: 2, WALDir: walDir})
 	if err != nil {
@@ -190,5 +191,85 @@ func TestMetaPinsComposition(t *testing.T) {
 	}
 	if v, ok := r.Dict.Search(1); !ok || v != 2 {
 		t.Fatalf("recovered Search(1) = (%d, %v)", v, ok)
+	}
+}
+
+// fourShardDir returns a WAL directory of four gcola shards holding
+// n keys, in which every shard has checkpointed at least once.
+func fourShardDir(t *testing.T, n int) string {
+	t.Helper()
+	dir := t.TempDir()
+	h, err := Open(Spec{Kind: "gcola", Shards: 4, WALDir: dir, CheckpointEvery: n / 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		k := recoveryKey(i)
+		h.Dict.Insert(k, k^0xFF)
+	}
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// TestDirectoryRefusesIncompleteShards: a WAL directory whose logs or
+// checkpoints are not exactly shard-00 … shard-(S-1) for a shard count
+// S is refused, naming the file that is missing, whatever count the
+// spec asks for. Reopening any of them would lose a shard's keys.
+func TestDirectoryRefusesIncompleteShards(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		remove []string
+		want   string
+	}{
+		{"log", []string{"shard-02.wal"}, "but not shard-02.wal; if the directory's first open crashed, nothing was acknowledged: remove the directory"},
+		{"checkpoint", []string{"shard-02.wal.ckpt"}, "but not shard-02.wal.ckpt"},
+		{"three shards", []string{"shard-03.wal", "shard-03.wal.ckpt"}, "3 shard logs, which is not a shard count: shard-03.wal is missing"},
+		{"shard 00", []string{"shard-00.wal", "shard-00.wal.ckpt"}, "but not shard-00.wal"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := fourShardDir(t, 10_000)
+			for _, name := range tc.remove {
+				if err := os.Remove(filepath.Join(dir, name)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, shards := range []int{0, 2, 4} {
+				h, err := Open(Spec{Kind: "gcola", Shards: shards, WALDir: dir})
+				if err == nil {
+					h.Close()
+					t.Fatalf("Shards %d: reopened with %s removed", shards, tc.remove)
+				}
+				if !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("Shards %d: error %q does not say %q", shards, err, tc.want)
+				}
+			}
+		})
+	}
+}
+
+// TestDirectoryIgnoresStaleMeta: an earlier build kept a serve.meta in
+// the directory; one that disagrees with the logs changes nothing.
+func TestDirectoryIgnoresStaleMeta(t *testing.T) {
+	const n = 10_000
+	dir := fourShardDir(t, n)
+	stale := []byte(`{"schema":1,"kind":"btree","shards":8}` + "\n")
+	if err := os.WriteFile(filepath.Join(dir, "serve.meta"), stale, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	h, err := Open(Spec{Kind: "gcola", WALDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	if h.Spec.Shards != 4 {
+		t.Fatalf("adopted %d shards, want the logs' 4", h.Spec.Shards)
+	}
+	for i := 0; i < n; i++ {
+		k := recoveryKey(i)
+		if v, ok := h.Dict.Search(k); !ok || v != k^0xFF {
+			t.Fatalf("key %d: Search = (%d, %v)", i, v, ok)
+		}
 	}
 }

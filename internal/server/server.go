@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"log"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -58,7 +59,8 @@ type Server struct {
 	caps core.Caps
 	del  core.Deleter // nil when caps.Delete is false
 
-	lat [numClasses]hist.Hist
+	lat    [numClasses]hist.Hist
+	panics atomic.Uint64
 
 	mu       sync.Mutex
 	ln       net.Listener
@@ -97,6 +99,13 @@ func (s *Server) Caps() core.Caps { return s.caps }
 //
 //repro:readonly
 func (s *Server) Latency(class int) *hist.Hist { return &s.lat[class] }
+
+// Panics reports how many served requests have panicked. Each one was
+// answered with StatusInternal and closed its own connection; the
+// server and its other connections kept serving.
+//
+//repro:readonly
+func (s *Server) Panics() uint64 { return s.panics.Load() }
 
 // Serve accepts connections on ln until Shutdown (which returns nil
 // here) or a listener error. Each connection is served by its own
@@ -180,6 +189,11 @@ type conn struct {
 	out []byte //repro:scratch response build buffer, reused per request
 	req []byte //repro:scratch request frame buffer, reused per request
 
+	// mark is len(out) before the latest dispatch: where a panicking
+	// request's partial response starts. A flush since then leaves it
+	// past len(out), and nothing is partial.
+	mark int
+
 	batch []core.Element //repro:scratch coalesced consecutive PUTs
 	elems []core.Element //repro:scratch BATCH decode scratch
 
@@ -207,7 +221,21 @@ func newConn(s *Server, nc net.Conn) *conn {
 // in c.out and flush to the socket whenever the read buffer empties
 // (no more pipelined requests to coalesce the write with) — one
 // syscall per burst, not per response.
+//
+// A request that panics (an inner dictionary's I/O error is a panic by
+// contract) loses its partial response and is answered StatusInternal;
+// the responses before it are flushed, and only this connection
+// closes. The wrappers below release their locks by defer, so the
+// other connections keep being served.
 func (c *conn) serve() {
+	defer func() {
+		if r := recover(); r != nil {
+			c.out = appendFrame(c.out[:min(c.mark, len(c.out))], StatusInternal)
+			c.flush()
+			c.s.panics.Add(1)
+			log.Printf("server: request from %v panicked, connection closed: %v", c.nc.RemoteAddr(), r)
+		}
+	}()
 	for {
 		kind, payload, buf, err := readFrame(c.br, c.req)
 		c.req = buf
@@ -223,6 +251,7 @@ func (c *conn) serve() {
 			c.flush()
 			return
 		}
+		c.mark = len(c.out)
 		c.dispatch(kind, payload)
 		if c.br.Buffered() == 0 {
 			if c.flush() != nil {

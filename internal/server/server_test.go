@@ -9,7 +9,9 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dam"
 	"repro/internal/registry"
+	"repro/internal/shard"
 )
 
 // startServer serves d on an ephemeral loopback listener and returns
@@ -208,6 +210,69 @@ func TestServerUnsupportedDel(t *testing.T) {
 	}
 	if v, ok, err := cl.Get(9); err != nil || !ok || v != 18 {
 		t.Fatalf("GET after unsupported DEL = (%d, %v, %v)", v, ok, err)
+	}
+}
+
+// trapDict panics when asked for one key, as a spilled read does on an
+// I/O error.
+type trapDict struct {
+	core.Dictionary
+	key uint64
+}
+
+func (d trapDict) Search(key uint64) (uint64, bool) {
+	if key == d.key {
+		panic("trapDict: read failed")
+	}
+	return d.Dictionary.Search(key)
+}
+
+// TestServerRecoversPanickingRequest: a request whose op panics is
+// answered StatusInternal after the responses before it, and only its
+// connection closes; the server counts it and serves the others.
+func TestServerRecoversPanickingRequest(t *testing.T) {
+	const trap = 13
+	d := shard.New(shard.WithShards(2), shard.WithDictionary(func(int, *dam.Space) core.Dictionary {
+		return trapDict{mustBuild(t, "gcola"), trap}
+	}))
+	srv, addr := startServer(t, d)
+	bystander, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bystander.Close()
+	if err := bystander.Put(1, 2); err != nil {
+		t.Fatal(err)
+	}
+
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	for _, k := range []uint64{1, trap, 1} {
+		if err := cl.SendGet(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if r, err := cl.ReadReply(); err != nil || r.Status != StatusOK || binary.BigEndian.Uint64(r.Payload) != 2 {
+		t.Fatalf("GET before the panic: (%v, %v)", r, err)
+	}
+	if r, err := cl.ReadReply(); err != nil || r.Status != StatusInternal {
+		t.Fatalf("panicking GET answered (%v, %v), want %s", r, err, statusName(StatusInternal))
+	}
+	if r, err := cl.ReadReply(); err == nil {
+		t.Fatalf("connection still open after a panic: %s", statusName(r.Status))
+	}
+
+	if v, ok, err := bystander.Get(1); err != nil || !ok || v != 2 {
+		t.Fatalf("second connection after the panic: GET = (%d, %v, %v)", v, ok, err)
+	}
+	if err := bystander.Put(3, 4); err != nil {
+		t.Fatalf("second connection after the panic: PUT: %v", err)
+	}
+	if n := srv.Panics(); n != 1 {
+		t.Fatalf("Panics() = %d, want 1", n)
 	}
 }
 

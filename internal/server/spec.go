@@ -1,10 +1,10 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/dam"
@@ -23,7 +23,7 @@ type Spec struct {
 
 	// Shards is the shard count, rounded up to a power of two. Zero
 	// means one shard per available CPU (and, on reopen of a WALDir,
-	// whatever count the directory was created with).
+	// whatever count its shard logs hold).
 	Shards int
 
 	// WALDir, when non-empty, makes the composition durable: shard i
@@ -49,24 +49,11 @@ type Handle struct {
 	durables []*durable.Dict
 }
 
-// metaSchema versions the serve.meta file.
-const metaSchema = 1
-
-// metaName is the composition descriptor written into a WALDir so a
-// reopen cannot silently change the shard fan-out (elements would land
-// in the wrong shard's log) or the inner kind.
-const metaName = "serve.meta"
-
-type meta struct {
-	Schema int    `json:"schema"`
-	Kind   string `json:"kind"`
-	Shards int    `json:"shards"`
-}
-
 // Open builds the composition a Spec names. With a WALDir it replays
 // every shard's log (and checkpoint) first, so the returned dictionary
-// already holds every previously acknowledged write; the directory's
-// serve.meta pins kind and shard count across restarts.
+// already holds every previously acknowledged write. The directory's
+// shard logs fix the shard count across restarts (see dirShards), and
+// each shard's checkpoint header fixes its kind.
 func Open(spec Spec) (*Handle, error) {
 	if spec.Kind == "" {
 		spec.Kind = "gcola"
@@ -89,9 +76,11 @@ func Open(spec Spec) (*Handle, error) {
 	if err := os.MkdirAll(spec.WALDir, 0o755); err != nil {
 		return nil, err
 	}
-	if err := reconcileMeta(&spec); err != nil {
+	n, err := dirShards(spec.WALDir, spec.Shards)
+	if err != nil {
 		return nil, err
 	}
+	spec.Shards = n
 
 	// One independently durable dictionary per shard — each owns its own
 	// log file, so shards never contend on one writer and a reopen
@@ -99,7 +88,7 @@ func Open(spec Spec) (*Handle, error) {
 	durables := make([]*durable.Dict, spec.Shards)
 	for i := range durables {
 		d, err := registry.Build("durable",
-			registry.WithWALPath(filepath.Join(spec.WALDir, fmt.Sprintf("shard-%02d.wal", i))),
+			registry.WithWALPath(filepath.Join(spec.WALDir, walName(i))),
 			registry.WithCheckpointEvery(spec.CheckpointEvery),
 			registry.WithInner(spec.Kind))
 		if err != nil {
@@ -122,42 +111,50 @@ func Open(spec Spec) (*Handle, error) {
 	return &Handle{Dict: m, Spec: spec, durables: durables}, nil
 }
 
-// reconcileMeta loads or creates WALDir/serve.meta, resolving
-// spec.Shards and rejecting mismatches against an existing directory.
-func reconcileMeta(spec *Spec) error {
-	path := filepath.Join(spec.WALDir, metaName)
-	raw, err := os.ReadFile(path)
-	switch {
-	case err == nil:
-		var m meta
-		if err := json.Unmarshal(raw, &m); err != nil {
-			return fmt.Errorf("server: %s: %w", path, err)
-		}
-		if m.Schema != metaSchema {
-			return fmt.Errorf("server: %s has schema %d, this build reads %d", path, m.Schema, metaSchema)
-		}
-		if m.Kind != spec.Kind {
-			return fmt.Errorf("server: %s was created for kind %q, spec asks for %q", path, m.Kind, spec.Kind)
-		}
-		if spec.Shards != 0 && shard.Count(spec.Shards) != m.Shards {
-			return fmt.Errorf("server: %s was created with %d shards, spec asks for %d", path, m.Shards, shard.Count(spec.Shards))
-		}
-		spec.Shards = m.Shards
-		return nil
-	case os.IsNotExist(err):
-		spec.Shards = shard.Count(spec.Shards)
-		raw, err := json.Marshal(meta{Schema: metaSchema, Kind: spec.Kind, Shards: spec.Shards})
-		if err != nil {
-			return err
-		}
-		tmp := path + ".tmp"
-		if err := os.WriteFile(tmp, append(raw, '\n'), 0o644); err != nil {
-			return err
-		}
-		return os.Rename(tmp, path)
-	default:
-		return err
+// walName names shard i's write-ahead log; its checkpoint adds ".ckpt".
+func walName(i int) string { return fmt.Sprintf("shard-%02d.wal", i) }
+
+// dirShards resolves a WAL directory's shard count from its files: the
+// logs and the checkpoints must each be exactly shard-00 … shard-(S-1)
+// for one S that shard.Count builds, and want (0 for any) must build
+// the same S. A directory with neither takes shard.Count(want). Other
+// files, such as an earlier build's serve.meta, are not read.
+func dirShards(dir string, want int) (int, error) {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return 0, err
 	}
+	have := make(map[string]bool)
+	for _, e := range ents {
+		name := e.Name()
+		if strings.HasPrefix(name, "shard-") && (strings.HasSuffix(name, ".wal") || strings.HasSuffix(name, ".wal.ckpt")) {
+			have[name] = true
+		}
+	}
+	n := (len(have) + 1) / 2 // a shard is a log and a checkpoint
+	if n == 0 {
+		return shard.Count(want), nil
+	}
+	for i := 0; i < n; i++ {
+		logName := walName(i)
+		if !have[logName] && have[logName+".ckpt"] {
+			// A durable build seeds the checkpoint before it creates the
+			// log: a crash inside the first Open leaves this, unacknowledged.
+			return 0, fmt.Errorf("server: %s holds %s.ckpt but not %s; if the directory's first open crashed, nothing was acknowledged: remove the directory", dir, logName, logName)
+		}
+		for _, name := range [2]string{logName, logName + ".ckpt"} {
+			if !have[name] {
+				return 0, fmt.Errorf("server: %s holds %d shard files but not %s", dir, len(have), name)
+			}
+		}
+	}
+	if shard.Count(n) != n {
+		return 0, fmt.Errorf("server: %s holds %d shard logs, which is not a shard count: %s is missing", dir, n, walName(n))
+	}
+	if want != 0 && shard.Count(want) != n {
+		return 0, fmt.Errorf("server: %s holds %d shard logs, spec asks for %d shards", dir, n, shard.Count(want))
+	}
+	return n, nil
 }
 
 func closeAll(ds []*durable.Dict) {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/core"
 )
@@ -79,7 +80,10 @@ func (m *Map) WriteTo(w io.Writer) (int64, error) {
 // a freshly built, empty map with the same shard count (rebuild with
 // WithShards on a mismatch). Each shard's section is buffered in full
 // and handed to the inner dictionary's ReadFrom as an exact in-memory
-// slice, so inner decoders can never over-consume a neighbour's bytes.
+// slice, so inner decoders can never over-consume a neighbour's bytes;
+// then every key the shard holds must route to it, or the stream is
+// corrupt (sections in the wrong order would load and then miss every
+// search). A failed ReadFrom leaves the map unusable: build a new one.
 func (m *Map) ReadFrom(r io.Reader) (int64, error) {
 	if m.Len() != 0 {
 		return 0, errors.New("shard: ReadFrom into a non-empty map")
@@ -133,6 +137,15 @@ func (m *Map) ReadFrom(r io.Reader) (int64, error) {
 		}
 		if _, err := s.ReadFrom(bytes.NewReader(section.Bytes())); err != nil {
 			return n, fmt.Errorf("shard: restoring shard %d: %w", i, err)
+		}
+		stray, misrouted := uint64(0), false
+		s.Range(0, math.MaxUint64, func(e core.Element) bool {
+			stray, misrouted = e.Key, m.shardIdxOf(e.Key) != i
+			return !misrouted
+		})
+		if misrouted {
+			return n, fmt.Errorf("shard: shard %d's section holds key %#x, which routes to shard %d: %w",
+				i, stray, m.shardIdxOf(stray), core.ErrCorrupt)
 		}
 	}
 	return n, nil
